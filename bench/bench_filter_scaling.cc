@@ -1,5 +1,6 @@
 // Million-row scaling sweep of the approximate-match filter stack:
-// SSHJoin over the constant-memory ScaledCorpus at 10^4 / 10^5 / 10^6
+// SSHJoin (the join engine at one shard, pinned to lap/rap) over the
+// constant-memory ScaledCorpus at 10^4 / 10^5 / 10^6
 // total rows, with the filters layered cumulatively —
 //
 //   config 0: no filters            (the paper's bare counted walk)
@@ -15,8 +16,8 @@
 // work at that scale (hours per repetition) and its cost is already
 // legible from the 10^4 → 10^5 growth.
 //
-// Interpreting checked-in numbers: single-threaded operator, so
-// "aqp_host_cpus" only documents the recording machine; the config
+// Interpreting checked-in numbers: one shard, so "aqp_host_cpus" only
+// documents the recording machine; the config
 // label rides on each benchmark as "label" plus the run's filter
 // counters.
 //
@@ -34,8 +35,8 @@
 #include "bench_support.h"
 #include "datagen/scale.h"
 #include "exec/operator.h"
+#include "exec/parallel/parallel_join.h"
 #include "exec/stream.h"
-#include "join/sshjoin.h"
 #include "text/gram_order.h"
 
 namespace {
@@ -118,21 +119,26 @@ void RunFilterScaling(benchmark::State& state, size_t total_rows,
           if (i >= n) return std::nullopt;
           return corpus.ParentTuple(i++);
         });
-    join::SymmetricJoinOptions options;
-    options.spec.left_column = 0;
-    options.spec.right_column = 0;
-    options.spec.sim_threshold = kTheta;
-    options.spec.filter = filter;
-    options.left_size_hint = corpus.options().child_rows;
-    options.right_size_hint = corpus.options().parent_rows;
-    join::SSHJoin join(&child, &parent, options);
+    exec::parallel::ParallelJoinOptions options;
+    options.base.join.spec.left_column = 0;
+    options.base.join.spec.right_column = 0;
+    options.base.join.spec.sim_threshold = kTheta;
+    options.base.join.spec.filter = filter;
+    options.base.join.left_size_hint = corpus.options().child_rows;
+    options.base.join.right_size_hint = corpus.options().parent_rows;
+    options.base.adaptive.policy = adaptive::AdaptivePolicy::kPinned;
+    options.base.adaptive.initial_state = adaptive::ProcessorState::kLapRap;
+    options.base.adaptive.parent_side = exec::Side::kRight;
+    options.base.adaptive.parent_table_size = corpus.options().parent_rows;
+    options.num_shards = 1;
+    exec::parallel::ParallelAdaptiveJoin join(&child, &parent, options);
     auto count = exec::CountAll(&join);
     if (!count.ok()) {
       state.SkipWithError(count.status().ToString().c_str());
       return;
     }
     benchmark::DoNotOptimize(*count);
-    stats = join.core().approx_probe_stats();
+    stats = join.shard(0).core().approx_probe_stats();
     match_count = *count;
   }
   // Deterministic corpus → identical counters every repetition; the

@@ -12,8 +12,8 @@
 //     record-linkage-shaped feed where ingest is expensive and
 //     overlap has something substantial to hide.
 //
-// A PrefetchSource pair measures the single-threaded counterpart
-// (refill overlap without any shard parallelism).
+// The shards = 1 points are the one-shard engine: pipelined ingest is
+// its only overlap mechanism.
 //
 // Interpreting checked-in numbers: read "aqp_host_cpus" first. On a
 // 1-CPU host the ingest task and the phase tasks time-slice one core,
@@ -38,7 +38,6 @@
 #include "datagen/generator.h"
 #include "exec/csv_io.h"
 #include "exec/parallel/parallel_join.h"
-#include "exec/prefetch.h"
 #include "exec/scan.h"
 #include "storage/relation_io.h"
 
@@ -180,48 +179,6 @@ void BM_IngestOverlap_Csv(benchmark::State& state) {
 BENCHMARK(BM_IngestOverlap_Csv)
     ->ArgsProduct({{2000, 4000}, {1, 2, 4}, {0, 1}})
     ->ArgNames({"scale", "shards", "pipelined"})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-/// Single-threaded counterpart: drain a CSV parse through
-/// PrefetchSource (producer thread overlaps the parse with the drain)
-/// vs straight through. No join — this isolates the source wrapper.
-void BM_CsvDrain_Prefetch(benchmark::State& state) {
-  const auto scale = static_cast<size_t>(state.range(0));
-  const bool prefetch = state.range(1) != 0;
-  const datagen::TestCase& tc = SharedCase(scale);
-  const auto& csv = SharedCsv(scale);
-  for (auto _ : state) {
-    exec::CsvSource source(tc.child.schema(), csv.first);
-    exec::Operator* drained = &source;
-    exec::PrefetchSource wrapper(&source);
-    if (prefetch) drained = &wrapper;
-    if (!drained->Open().ok()) {
-      state.SkipWithError("open failed");
-      return;
-    }
-    storage::ColumnBatch batch(&drained->output_schema());
-    size_t rows = 0;
-    while (true) {
-      if (!drained->NextColumnBatch(&batch).ok()) {
-        state.SkipWithError("drain failed");
-        return;
-      }
-      if (batch.empty()) break;
-      rows += batch.size();
-    }
-    if (!drained->Close().ok()) {
-      state.SkipWithError("close failed");
-      return;
-    }
-    benchmark::DoNotOptimize(rows);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(tc.child.size()));
-}
-BENCHMARK(BM_CsvDrain_Prefetch)
-    ->ArgsProduct({{2000, 4000}, {0, 1}})
-    ->ArgNames({"scale", "prefetch"})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -1,17 +1,21 @@
 // Micro-benchmarks and ablations beyond the paper's tables: end-to-end
 // operator throughput, the §2.3 space model, and the interleave-policy
-// ablation called out in DESIGN.md §8.
+// ablation called out in DESIGN.md §8. Every join series runs the one
+// join engine (ParallelAdaptiveJoin) at one shard: pinned lex/rex is
+// SHJoin, pinned lap/rap is SSHJoin, the adaptive policy is the
+// paper's hybrid operator.
 //
 //   $ ./bench_join_micro
 
 #include <benchmark/benchmark.h>
 
-#include "adaptive/adaptive_join.h"
+#include <map>
+#include <optional>
+
 #include "bench_support.h"
 #include "datagen/generator.h"
+#include "exec/parallel/parallel_join.h"
 #include "exec/scan.h"
-#include "join/shjoin.h"
-#include "join/sshjoin.h"
 
 namespace {
 
@@ -33,90 +37,93 @@ const datagen::TestCase& SharedCase(size_t scale) {
   return it->second;
 }
 
-join::SymmetricJoinOptions JoinOptions() {
-  join::SymmetricJoinOptions options;
-  options.spec.left_column = datagen::kAccidentsLocationColumn;
-  options.spec.right_column = datagen::kAtlasLocationColumn;
-  options.spec.sim_threshold = 0.85;
+/// One-shard engine options over `tc`: the adaptive policy, or pinned
+/// to `pinned` when given.
+exec::parallel::ParallelJoinOptions JoinOptions(
+    const datagen::TestCase& tc,
+    std::optional<adaptive::ProcessorState> pinned = std::nullopt) {
+  exec::parallel::ParallelJoinOptions options;
+  options.base.join.spec.left_column = datagen::kAccidentsLocationColumn;
+  options.base.join.spec.right_column = datagen::kAtlasLocationColumn;
+  options.base.join.spec.sim_threshold = 0.85;
+  options.base.adaptive.parent_side = exec::Side::kRight;
+  options.base.adaptive.parent_table_size = tc.parent.size();
+  if (pinned.has_value()) {
+    options.base.adaptive.policy = adaptive::AdaptivePolicy::kPinned;
+    options.base.adaptive.initial_state = *pinned;
+  }
+  options.num_shards = 1;
   return options;
+}
+
+/// Counting drain of one join run; false (and the state skipped) on
+/// error.
+bool CountJoin(benchmark::State& state, const datagen::TestCase& tc,
+               const exec::parallel::ParallelJoinOptions& options,
+               const exec::ExecOptions& drain = {}) {
+  exec::RelationScan child(&tc.child);
+  exec::RelationScan parent(&tc.parent);
+  exec::parallel::ParallelAdaptiveJoin join(&child, &parent, options);
+  auto count = exec::CountAll(&join, drain);
+  if (!count.ok()) {
+    state.SkipWithError("join failed");
+    return false;
+  }
+  benchmark::DoNotOptimize(*count);
+  return true;
+}
+
+void SetTuplesProcessed(benchmark::State& state, const datagen::TestCase& tc) {
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations()) *
+      static_cast<int64_t>(tc.child.size() + tc.parent.size()));
 }
 
 /// Exact symmetric hash join throughput (tuples/second).
 void BM_SHJoin_EndToEnd(benchmark::State& state) {
   const auto& tc = SharedCase(static_cast<size_t>(state.range(0)));
+  const auto options = JoinOptions(tc, adaptive::ProcessorState::kLexRex);
   for (auto _ : state) {
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    join::SHJoin join(&child, &parent, JoinOptions());
-    auto count = exec::CountAll(&join);
-    if (!count.ok()) {
-      state.SkipWithError("join failed");
-      return;
-    }
-    benchmark::DoNotOptimize(*count);
+    if (!CountJoin(state, tc, options)) return;
   }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(tc.child.size() + tc.parent.size()));
+  SetTuplesProcessed(state, tc);
 }
 BENCHMARK(BM_SHJoin_EndToEnd)->Arg(1000)->Arg(2000)->Arg(4000);
 
 /// Approximate symmetric set hash join throughput.
 void BM_SSHJoin_EndToEnd(benchmark::State& state) {
   const auto& tc = SharedCase(static_cast<size_t>(state.range(0)));
+  const auto options = JoinOptions(tc, adaptive::ProcessorState::kLapRap);
   for (auto _ : state) {
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    join::SSHJoin join(&child, &parent, JoinOptions());
-    auto count = exec::CountAll(&join);
-    if (!count.ok()) {
-      state.SkipWithError("join failed");
-      return;
-    }
-    benchmark::DoNotOptimize(*count);
+    if (!CountJoin(state, tc, options)) return;
   }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(tc.child.size() + tc.parent.size()));
+  SetTuplesProcessed(state, tc);
 }
 BENCHMARK(BM_SSHJoin_EndToEnd)->Arg(1000)->Arg(4000);
 
 /// The adaptive operator on the same workload.
 void BM_AdaptiveJoin_EndToEnd(benchmark::State& state) {
   const auto& tc = SharedCase(static_cast<size_t>(state.range(0)));
+  const auto options = JoinOptions(tc);
   for (auto _ : state) {
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    adaptive::AdaptiveJoinOptions options;
-    options.join = JoinOptions();
-    options.adaptive.parent_side = exec::Side::kRight;
-    options.adaptive.parent_table_size = tc.parent.size();
-    adaptive::AdaptiveJoin join(&child, &parent, options);
-    auto count = exec::CountAll(&join);
-    if (!count.ok()) {
-      state.SkipWithError("join failed");
-      return;
-    }
-    benchmark::DoNotOptimize(*count);
+    if (!CountJoin(state, tc, options)) return;
   }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(tc.child.size() + tc.parent.size()));
+  SetTuplesProcessed(state, tc);
 }
 BENCHMARK(BM_AdaptiveJoin_EndToEnd)->Arg(1000)->Arg(4000);
 
-/// The legacy iterator protocol on the same workload: one virtual
-/// Next() with Result<optional<Tuple>> packaging per output row, and
-/// per-tuple child pulls (batch_size = 1). This is what every drain
-/// paid before the vectorized NextBatch path existed.
+/// The row protocol on the same exact workload: one virtual Next()
+/// with Result<optional<Tuple>> packaging per output row, and
+/// per-tuple child pulls (batch_size = 1). Compare against
+/// BM_SHJoin_ColumnarDrain.
 void BM_SHJoin_LegacyNextProtocol(benchmark::State& state) {
   const auto& tc = SharedCase(2000);
+  auto options = JoinOptions(tc, adaptive::ProcessorState::kLexRex);
+  options.base.join.batch_size = 1;
   for (auto _ : state) {
     exec::RelationScan child(&tc.child);
     exec::RelationScan parent(&tc.parent);
-    join::SymmetricJoinOptions options = JoinOptions();
-    options.batch_size = 1;
-    join::SHJoin join(&child, &parent, options);
+    exec::parallel::ParallelAdaptiveJoin join(&child, &parent, options);
     if (!join.Open().ok()) {
       state.SkipWithError("open failed");
       return;
@@ -134,9 +141,7 @@ void BM_SHJoin_LegacyNextProtocol(benchmark::State& state) {
     (void)join.Close();
     benchmark::DoNotOptimize(count);
   }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(tc.child.size() + tc.parent.size()));
+  SetTuplesProcessed(state, tc);
 }
 BENCHMARK(BM_SHJoin_LegacyNextProtocol);
 
@@ -146,10 +151,11 @@ BENCHMARK(BM_SHJoin_LegacyNextProtocol);
 /// columns. This is the layout the aqp_batch_layout context describes.
 void BM_SHJoin_ColumnarDrain(benchmark::State& state) {
   const auto& tc = SharedCase(2000);
+  const auto options = JoinOptions(tc, adaptive::ProcessorState::kLexRex);
   for (auto _ : state) {
     exec::RelationScan child(&tc.child);
     exec::RelationScan parent(&tc.parent);
-    join::SHJoin join(&child, &parent, JoinOptions());
+    exec::parallel::ParallelAdaptiveJoin join(&child, &parent, options);
     if (!join.Open().ok()) {
       state.SkipWithError("open failed");
       return;
@@ -168,74 +174,26 @@ void BM_SHJoin_ColumnarDrain(benchmark::State& state) {
     (void)join.Close();
     benchmark::DoNotOptimize(count);
   }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(tc.child.size() + tc.parent.size()));
+  SetTuplesProcessed(state, tc);
 }
 BENCHMARK(BM_SHJoin_ColumnarDrain);
 
-/// The row-of-Tuples compatibility adapter on the same workload: the
-/// engine runs columnar inside, but every output row is materialized
-/// as a Tuple (vector of variant cells, heap string per string cell)
-/// at the batch boundary — the per-row cost the columnar protocol
-/// exists to avoid. Compare against BM_SHJoin_ColumnarDrain.
-void BM_SHJoin_RowAdapterDrain(benchmark::State& state) {
-  const auto& tc = SharedCase(2000);
-  for (auto _ : state) {
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    join::SHJoin join(&child, &parent, JoinOptions());
-    if (!join.Open().ok()) {
-      state.SkipWithError("open failed");
-      return;
-    }
-    size_t count = 0;
-    storage::TupleBatch batch(&join.output_schema(),
-                              storage::TupleBatch::kDefaultCapacity);
-    while (true) {
-      if (!join.NextBatch(&batch).ok()) {
-        state.SkipWithError("join failed");
-        return;
-      }
-      if (batch.empty()) break;
-      count += batch.size();
-    }
-    (void)join.Close();
-    benchmark::DoNotOptimize(count);
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(tc.child.size() + tc.parent.size()));
-}
-BENCHMARK(BM_SHJoin_RowAdapterDrain);
-
-/// Batch-size sweep over the vectorized execution path: the same exact
-/// SHJoin workload with both the operator's internal step batching and
-/// the drain batching set to the swept size. batch_size = 1 degenerates
-/// to tuple-at-a-time execution (results and traces are identical for
-/// every size — see tests/integration/batch_parity_test.cc — so this
-/// measures pure engine overhead).
+/// Batch-size sweep: the same exact workload with the child refill
+/// size and the drain batching set to the swept size. batch_size = 1
+/// degenerates to tuple-at-a-time input (results and traces are
+/// identical for every size — see tests/integration/batch_parity_test.cc
+/// — so this measures pure engine overhead).
 void BM_SHJoin_BatchSweep(benchmark::State& state) {
   const auto& tc = SharedCase(2000);
   const auto batch = static_cast<size_t>(state.range(0));
+  auto options = JoinOptions(tc, adaptive::ProcessorState::kLexRex);
+  options.base.join.batch_size = batch;
+  exec::ExecOptions drain;
+  drain.batch_size = batch;
   for (auto _ : state) {
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    join::SymmetricJoinOptions options = JoinOptions();
-    options.batch_size = batch;
-    join::SHJoin join(&child, &parent, options);
-    exec::ExecOptions drain;
-    drain.batch_size = batch;
-    auto count = exec::CountAll(&join, drain);
-    if (!count.ok()) {
-      state.SkipWithError("join failed");
-      return;
-    }
-    benchmark::DoNotOptimize(*count);
+    if (!CountJoin(state, tc, options, drain)) return;
   }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(tc.child.size() + tc.parent.size()));
+  SetTuplesProcessed(state, tc);
 }
 BENCHMARK(BM_SHJoin_BatchSweep)
     ->Arg(1)
@@ -244,32 +202,19 @@ BENCHMARK(BM_SHJoin_BatchSweep)
     ->Arg(1024)
     ->Arg(4096);
 
-/// The same sweep on the full adaptive operator (MAR loop at batch-
-/// aligned quiescent points).
+/// The same sweep on the adaptive policy (MAR loop at epoch-aligned
+/// quiescent points).
 void BM_AdaptiveJoin_BatchSweep(benchmark::State& state) {
   const auto& tc = SharedCase(2000);
   const auto batch = static_cast<size_t>(state.range(0));
+  auto options = JoinOptions(tc);
+  options.base.join.batch_size = batch;
+  exec::ExecOptions drain;
+  drain.batch_size = batch;
   for (auto _ : state) {
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    adaptive::AdaptiveJoinOptions options;
-    options.join = JoinOptions();
-    options.join.batch_size = batch;
-    options.adaptive.parent_side = exec::Side::kRight;
-    options.adaptive.parent_table_size = tc.parent.size();
-    adaptive::AdaptiveJoin join(&child, &parent, options);
-    exec::ExecOptions drain;
-    drain.batch_size = batch;
-    auto count = exec::CountAll(&join, drain);
-    if (!count.ok()) {
-      state.SkipWithError("join failed");
-      return;
-    }
-    benchmark::DoNotOptimize(*count);
+    if (!CountJoin(state, tc, options, drain)) return;
   }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(tc.child.size() + tc.parent.size()));
+  SetTuplesProcessed(state, tc);
 }
 BENCHMARK(BM_AdaptiveJoin_BatchSweep)
     ->Arg(1)
@@ -278,27 +223,16 @@ BENCHMARK(BM_AdaptiveJoin_BatchSweep)
     ->Arg(1024)
     ->Arg(4096);
 
-/// Interleave-policy ablation on the adaptive operator.
+/// Interleave-policy ablation on the adaptive policy.
 void BM_AdaptiveJoin_InterleavePolicy(benchmark::State& state) {
   const auto& tc = SharedCase(2000);
   const auto policy = static_cast<exec::InterleavePolicy>(state.range(0));
+  auto options = JoinOptions(tc);
+  options.base.join.interleave = policy;
+  options.base.join.left_size_hint = tc.child.size();
+  options.base.join.right_size_hint = tc.parent.size();
   for (auto _ : state) {
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    adaptive::AdaptiveJoinOptions options;
-    options.join = JoinOptions();
-    options.join.interleave = policy;
-    options.join.left_size_hint = tc.child.size();
-    options.join.right_size_hint = tc.parent.size();
-    options.adaptive.parent_side = exec::Side::kRight;
-    options.adaptive.parent_table_size = tc.parent.size();
-    adaptive::AdaptiveJoin join(&child, &parent, options);
-    auto count = exec::CountAll(&join);
-    if (!count.ok()) {
-      state.SkipWithError("join failed");
-      return;
-    }
-    benchmark::DoNotOptimize(*count);
+    if (!CountJoin(state, tc, options)) return;
   }
   state.SetLabel(exec::InterleavePolicyName(policy));
 }
@@ -310,7 +244,7 @@ BENCHMARK(BM_AdaptiveJoin_InterleavePolicy)
 void BM_IndexSpaceModel(benchmark::State& state) {
   const auto& tc = SharedCase(4000);
   for (auto _ : state) {
-    join::HybridJoinCore core(JoinOptions().spec);
+    join::HybridJoinCore core(JoinOptions(tc).base.join.spec);
     core.SetProbeMode(exec::Side::kLeft, join::ProbeMode::kApproximate);
     core.SetProbeMode(exec::Side::kRight, join::ProbeMode::kApproximate);
     for (size_t i = 0; i < tc.parent.size(); ++i) {

@@ -12,11 +12,11 @@
 
 #include <iostream>
 
-#include "adaptive/adaptive_join.h"
 #include "bench_support.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "datagen/generator.h"
+#include "exec/parallel/parallel_join.h"
 #include "exec/scan.h"
 #include "metrics/experiment.h"
 
@@ -52,8 +52,10 @@ int main(int argc, char** argv) {
   // Transition costs: a scripted run that cycles EE -> AE -> EA -> AA
   // -> EE ... so every transition kind occurs with realistic catch-up
   // lag, timed by the operator itself.
-  adaptive::AdaptiveJoinOptions jo = metrics::MakeJoinOptions(*tc, options);
-  jo.adaptive.policy = adaptive::AdaptivePolicy::kScripted;
+  exec::parallel::ParallelJoinOptions jo;
+  jo.base = metrics::MakeJoinOptions(*tc, options);
+  jo.base.adaptive.policy = adaptive::AdaptivePolicy::kScripted;
+  jo.num_shards = 1;
   const adaptive::ProcessorState cycle[] = {
       adaptive::ProcessorState::kLapRex, adaptive::ProcessorState::kLexRap,
       adaptive::ProcessorState::kLapRap, adaptive::ProcessorState::kLexRex};
@@ -63,12 +65,12 @@ int main(int argc, char** argv) {
   for (uint64_t at = stride, i = 0; at + stride / 2 < total_steps;
        at += stride, ++i) {
     const adaptive::ProcessorState target = cycle[i % 4];
-    jo.adaptive.script.push_back({at, target});
+    jo.base.adaptive.script.push_back({at, target});
     ++transition_counts[adaptive::StateIndex(target)];
   }
   exec::RelationScan child(&tc->child);
   exec::RelationScan parent(&tc->parent);
-  adaptive::AdaptiveJoin scripted(&child, &parent, jo);
+  exec::parallel::ParallelAdaptiveJoin scripted(&child, &parent, jo);
   if (auto count = exec::CountAll(&scripted); !count.ok()) {
     std::cerr << count.status() << "\n";
     return 1;

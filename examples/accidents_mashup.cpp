@@ -10,13 +10,13 @@
 #include <iostream>
 #include <map>
 
-#include "adaptive/adaptive_join.h"
 #include "exec/sink.h"
 #include "common/flags.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "common/timer.h"
 #include "datagen/generator.h"
+#include "exec/parallel/parallel_join.h"
 #include "exec/scan.h"
 
 using namespace aqp;  // NOLINT — example brevity
@@ -89,15 +89,16 @@ int main(int argc, char** argv) {
             adaptive::ProcessorState::kLapRap}}) {
     exec::RelationScan accidents(&tc->child);
     exec::RelationScan atlas(&tc->parent);
-    adaptive::AdaptiveJoinOptions jo;
-    jo.join.spec.left_column = datagen::kAccidentsLocationColumn;
-    jo.join.spec.right_column = datagen::kAtlasLocationColumn;
-    jo.join.spec.sim_threshold = flags.GetDouble("theta-sim");
-    jo.adaptive.parent_side = exec::Side::kRight;
-    jo.adaptive.parent_table_size = tc->parent.size();
-    jo.adaptive.policy = policy;
-    jo.adaptive.initial_state = pinned;
-    adaptive::AdaptiveJoin join(&accidents, &atlas, jo);
+    exec::parallel::ParallelJoinOptions jo;
+    jo.base.join.spec.left_column = datagen::kAccidentsLocationColumn;
+    jo.base.join.spec.right_column = datagen::kAtlasLocationColumn;
+    jo.base.join.spec.sim_threshold = flags.GetDouble("theta-sim");
+    jo.base.adaptive.parent_side = exec::Side::kRight;
+    jo.base.adaptive.parent_table_size = tc->parent.size();
+    jo.base.adaptive.policy = policy;
+    jo.base.adaptive.initial_state = pinned;
+    jo.num_shards = 1;
+    exec::parallel::ParallelAdaptiveJoin join(&accidents, &atlas, jo);
 
     Timer timer;
     const bool is_adaptive = policy == adaptive::AdaptivePolicy::kAdaptive;
@@ -114,7 +115,7 @@ int main(int argc, char** argv) {
     }
     Outcome outcome;
     outcome.name = name;
-    outcome.matched = join.core().distinct_matched(exec::Side::kLeft);
+    outcome.matched = join.distinct_matched(exec::Side::kLeft);
     outcome.seconds = timer.ElapsedSeconds();
     outcome.weighted_cost =
         join.cost().TotalCostWith(adaptive::StateWeights::Paper());

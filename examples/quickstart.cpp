@@ -6,8 +6,8 @@
 
 #include <iostream>
 
-#include "adaptive/adaptive_join.h"
 #include "exec/operator.h"
+#include "exec/parallel/parallel_join.h"
 #include "exec/scan.h"
 
 using namespace aqp;  // NOLINT — example brevity
@@ -53,17 +53,19 @@ int main() {
   exec::RelationScan order_scan(&orders);
   exec::RelationScan product_scan(&products);
 
-  adaptive::AdaptiveJoinOptions options;
-  options.join.spec.left_column = 1;   // orders.product
-  options.join.spec.right_column = 0;  // products.name
-  options.join.spec.sim_threshold = 0.8;
-  options.join.emit_similarity = true;
-  options.adaptive.parent_side = exec::Side::kRight;
-  options.adaptive.parent_table_size = products.size();
-  options.adaptive.delta_adapt = 2;  // tiny data: assess often
-  options.adaptive.window = 4;
+  exec::parallel::ParallelJoinOptions options;
+  options.base.join.spec.left_column = 1;   // orders.product
+  options.base.join.spec.right_column = 0;  // products.name
+  options.base.join.spec.sim_threshold = 0.8;
+  options.base.join.emit_similarity = true;
+  options.base.adaptive.parent_side = exec::Side::kRight;
+  options.base.adaptive.parent_table_size = products.size();
+  options.base.adaptive.delta_adapt = 2;  // tiny data: assess often
+  options.base.adaptive.window = 4;
+  options.num_shards = 1;
 
-  adaptive::AdaptiveJoin join(&order_scan, &product_scan, options);
+  exec::parallel::ParallelAdaptiveJoin join(&order_scan, &product_scan,
+                                            options);
   auto result = exec::CollectAll(&join);
   if (!result.ok()) {
     std::cerr << "join failed: " << result.status() << "\n";

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "adaptive/cost_model.h"
 #include "adaptive/state.h"
 #include "common/status.h"
 #include "join/hybrid_core.h"
@@ -110,10 +111,10 @@ class Monitor {
               const std::vector<join::JoinMatch>& matches,
               const join::HybridJoinCore& core, ProcessorState state);
 
-  /// Ingests a whole step batch whose per-step observables were
-  /// captured at step time by the batched engine. Equivalent to one
-  /// OnStep per entry — the windows advance step-wise, so µ semantics
-  /// do not change with batching.
+  /// Ingests a whole epoch whose per-step observables the join's merge
+  /// replayed in global step order. Equivalent to one OnStep per entry
+  /// — the windows advance step-wise, so µ semantics do not change
+  /// with epoch length.
   void OnBatch(const std::vector<join::StepObservables>& steps,
                ProcessorState state);
 
@@ -257,6 +258,19 @@ class Responder {
  private:
   AdaptiveOptions options_;
   uint32_t futility_streak_ = 0;
+};
+
+/// \brief Configuration of the adaptive join: the join itself, the MAR
+/// loop that drives it, and the weights pricing its steps. A pinned
+/// policy with initial_state kLexRex runs the all-exact SHJoin
+/// baseline, with kLapRap the all-approximate SSHJoin baseline.
+struct AdaptiveJoinOptions {
+  /// Join spec, interleaving, output shape, approximate-probe knobs.
+  join::SymmetricJoinOptions join;
+  /// MAR thresholds, completeness model, control policy.
+  AdaptiveOptions adaptive;
+  /// Weights used by the run's cost accountant.
+  StateWeights weights = StateWeights::Paper();
 };
 
 }  // namespace adaptive

@@ -80,12 +80,12 @@ std::pair<Status, bool> Evaluate(const char* site) {
 }  // namespace
 
 std::vector<std::string> KnownSites() {
-  return {site::kCsvOpen,      site::kCsvRead,      site::kScanNext,
-          site::kExchangeRoute, site::kExchangeStage, site::kIngestPrefetch,
-          site::kExchangeMerge, site::kShardPhaseA,
-          site::kShardPhaseB,  site::kPoolTask,     site::kStoreAdd,
-          site::kArenaAlloc,   site::kParallelOpen, site::kServiceAdmit,
-          site::kServiceFinalize, site::kBudgetCharge, site::kWatchdogStall};
+  return {site::kCsvOpen,         site::kCsvRead,       site::kScanNext,
+          site::kExchangeRoute,   site::kExchangeStage, site::kExchangeMerge,
+          site::kShardPhaseA,     site::kShardPhaseB,   site::kPoolTask,
+          site::kStoreAdd,        site::kArenaAlloc,    site::kParallelOpen,
+          site::kServiceAdmit,    site::kServiceFinalize,
+          site::kBudgetCharge,    site::kWatchdogStall};
 }
 
 void Arm(const std::string& site, Policy policy) {

@@ -64,9 +64,6 @@ inline constexpr char kExchangeRoute[] = "exchange.route";
 /// epoch; fires on the ingest task, so a fault here must discard the
 /// staged epoch without touching the committed one).
 inline constexpr char kExchangeStage[] = "exchange.stage";
-/// PrefetchSource producer body, per background refill (overlapped
-/// source parse for the single-threaded path).
-inline constexpr char kIngestPrefetch[] = "ingest.prefetch";
 /// ParallelAdaptiveJoin::MergeEpoch entry (coordinator merge).
 inline constexpr char kExchangeMerge[] = "exchange.merge";
 /// JoinShard::RunBuildPhase entry (phase A worker body; throws).

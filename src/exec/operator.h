@@ -10,7 +10,6 @@
 #include "storage/relation.h"
 #include "storage/schema.h"
 #include "storage/tuple.h"
-#include "storage/tuple_batch.h"
 
 namespace aqp {
 namespace exec {
@@ -27,40 +26,28 @@ inline Side OtherSide(Side side) {
 const char* SideName(Side side);
 
 /// \brief Pipelined iterator-model operator (OPEN/NEXT/CLOSE, Graefe),
-/// with a vectorized batch protocol layered on top.
+/// with a columnar batch protocol layered on top.
 ///
 /// The adaptive framework (after Eurviriyanukul et al., cited as [11]
-/// in the paper) replaces physical operators only at *quiescent*
+/// in the paper) changes how an operator matches only at *quiescent*
 /// states: states where the last input tuple consumed has been joined
 /// with every match it has, so no partial per-tuple state would be lost
-/// by a swap. Operators advertise this through `quiescent()`:
+/// by a switch. Operators advertise this through `quiescent()`, which
+/// must be true right after Open() and whenever no produced output is
+/// still buffered for delivery.
 ///
-/// - `quiescent()` must be true right after Open() and after any Next()
-///   call that left no outstanding matches pending;
-/// - it must be false while matches for the current probe tuple are
-///   still being enumerated one Next() at a time.
+/// NextColumnBatch() is the native protocol: it refills a caller-owned
+/// ColumnBatch with up to `capacity()` rows per call, amortizing the
+/// per-tuple virtual dispatch across the batch and moving *columns*
+/// (typed vectors + a string arena) instead of rows of variants. Every
+/// pipeline operator overrides it; the base implementation adapts
+/// Next() for operators that only produce rows.
 ///
-/// Next() returns an engaged optional with the next output tuple, an
-/// empty optional at end-of-stream, or a non-OK status on error.
-///
-/// NextColumnBatch() is the native vectorized protocol: it refills a
-/// caller-owned columnar ColumnBatch with up to `capacity()` rows per
-/// call, amortizing the per-tuple virtual dispatch and Result/optional
-/// packaging across the whole batch and moving *columns* (typed
-/// vectors + a string arena) instead of rows of variants. Batch
-/// boundaries are quiescent by construction — every tuple the operator
-/// consumed to produce the batch has been fully processed, and all of
-/// its output is materialized in the batch (or an internal spill
-/// buffer), so adaptation may safely fire between batches. The default
-/// implementation adapts Next(), which keeps every operator working
-/// during the row → columnar migration; pipeline operators override it
-/// natively.
-///
-/// NextBatch() — the row-of-Tuples protocol — survives only as a
-/// compatibility adapter for tests and examples: its default pulls
-/// Next() exactly as before, and the joins override it to materialize
-/// rows from their late-materialized refs. Rows produced by either
-/// protocol are byte-identical and in identical order.
+/// Next() is the row protocol: an engaged optional with the next output
+/// tuple, an empty optional at end-of-stream, or a non-OK status on
+/// error. It stays for row-at-a-time consumers and decorators; rows
+/// produced by either protocol are byte-identical and in identical
+/// order.
 class Operator {
  public:
   virtual ~Operator() = default;
@@ -82,11 +69,6 @@ class Operator {
   /// that repeated Next() calls would.
   virtual Status NextColumnBatch(storage::ColumnBatch* out);
 
-  /// Row-protocol compatibility adapter (see class comment): refills
-  /// `out` with up to out->capacity() output tuples, same order and
-  /// end-of-stream convention as NextColumnBatch().
-  virtual Status NextBatch(storage::TupleBatch* out);
-
   /// Releases resources; no Next() may follow.
   virtual Status Close() = 0;
 
@@ -96,7 +78,8 @@ class Operator {
   /// True iff the operator is in a quiescent state (§2.1).
   virtual bool quiescent() const { return true; }
 
-  /// Operator name for diagnostics ("SHJoin", "RelationScan", ...).
+  /// Operator name for diagnostics ("ParallelAdaptiveJoin",
+  /// "RelationScan", ...).
   virtual std::string name() const = 0;
 };
 
@@ -132,11 +115,11 @@ class OpenGuard {
 /// payloads.
 ///
 /// Operators whose output is naturally a set of *references* (e.g. the
-/// symmetric join's match refs into its tuple stores) implement this
-/// alongside Operator. Counting drains detect it via dynamic_cast and
-/// skip row materialization entirely; the produced row count, the
-/// production order, and all quiescent-point/adaptation behavior must
-/// be identical to what NextBatch() would have driven.
+/// join's match refs into its tuple stores) implement this alongside
+/// Operator. Counting drains detect it via dynamic_cast and skip row
+/// materialization entirely; the produced row count, the production
+/// order, and all quiescent-point/adaptation behavior must be identical
+/// to what NextColumnBatch() would have driven.
 class UnmaterializedCounter {
  public:
   virtual ~UnmaterializedCounter() = default;

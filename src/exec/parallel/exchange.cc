@@ -129,9 +129,9 @@ Result<uint64_t> RadixExchange::RouteLoop(
     if (input_pos_[i] >= input_batch_[i].size()) {
       AQP_RETURN_IF_ERROR(Refill(side));
       if (input_batch_[i].empty()) {
-        // End-of-stream, discovered at the same read index as the
-        // single-threaded engine (the buffer drains exactly when that
-        // engine would have read the tuple after the last).
+        // End-of-stream, discovered at the same read index for every
+        // refill size (the buffer drains exactly when a tuple-at-a-time
+        // reader would have read the tuple after the last).
         done_[i] = true;
         continue;
       }

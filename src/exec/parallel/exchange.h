@@ -35,28 +35,28 @@ struct RouteEntry {
   uint32_t shard = 0;
   exec::Side side = exec::Side::kLeft;
   /// Per-side global ordinal (the id the tuple would have received in
-  /// the single-threaded engine's store — the key of the coordinator's
+  /// a one-shard run's store — the key of the coordinator's
   /// matched-flag bitsets).
   uint32_t ordinal = 0;
   /// Shard-local store id.
   storage::TupleId local_id = 0;
 };
 
-/// \brief The radix exchange: replays the single-threaded engine's
-/// input schedule and routes each row to a shard by join-key hash.
+/// \brief The radix exchange: reads the two inputs in the interleave
+/// scheduler's order and routes each row to a shard by join-key hash.
 ///
 /// Determinism is the whole point. The exchange pulls columnar batches
-/// from the two children through the same InterleaveScheduler and the
-/// same buffered refill protocol as SymmetricJoin::PullNextInput, so
-/// the global step sequence — which side was read at step t, and when
-/// end-of-stream was discovered — is identical to the single-threaded
-/// run. The shard of a row is a pure function of its join key (mixed
-/// FNV-1a hash modulo shard count), which is what makes every exact
-/// match intra-shard. Routing *scatters column slices*: each row's
-/// cells are appended to the target shard's per-side pending
-/// ColumnBatch, together with the key hash from the batch's hash lane
-/// (computed once per refill, cached by the shard's TupleStore, never
-/// re-hashed) — no Tuple object moves through the exchange.
+/// from the two children through one InterleaveScheduler and a
+/// buffered refill per side, so the global step sequence — which side
+/// was read at step t, and when end-of-stream was discovered — is the
+/// same for every shard count and refill size. The shard of a row is a
+/// pure function of its join key (mixed FNV-1a hash modulo shard
+/// count), which is what makes every exact match intra-shard. Routing
+/// *scatters column slices*: each row's cells are appended to the
+/// target shard's per-side pending ColumnBatch, together with the key
+/// hash from the batch's hash lane (computed once per refill, cached by
+/// the shard's TupleStore, never re-hashed) — no Tuple object moves
+/// through the exchange.
 class RadixExchange {
  public:
   /// Children are borrowed and must outlive the exchange. `spec`
@@ -134,7 +134,7 @@ class RadixExchange {
   }
 
   /// True once `side`'s child reported end-of-stream (discovered at
-  /// the same step index as the single-threaded engine would;
+  /// the same step index for every shard count and refill size;
   /// published — EOS found while staging becomes visible at commit).
   bool input_exhausted(exec::Side side) const {
     return pub_done_[static_cast<size_t>(side)];
@@ -155,8 +155,8 @@ class RadixExchange {
   }
 
  private:
-  /// Mirrors SymmetricJoin::RefillInput, wrapped in the transient
-  /// retry loop.
+  /// Refills `side`'s input batch from its child and computes the
+  /// join-key hash lane, wrapped in the transient retry loop.
   Status Refill(exec::Side side);
   /// One refill attempt.
   Status RefillOnce(exec::Side side);

@@ -9,8 +9,8 @@
 
 #include "common/failpoint.h"
 #include "common/macros.h"
+#include "common/timer.h"
 #include "exec/csv_io.h"
-#include "exec/prefetch.h"
 
 namespace aqp {
 namespace exec {
@@ -179,6 +179,8 @@ Status ParallelAdaptiveJoin::Open() {
   pump_error_ = Status::OK();
   last_assessment_step_ = 0;
   script_position_ = 0;
+  state_time_ns_.fill(0);
+  transition_time_ns_.fill(0);
   staged_route_.clear();
   staged_budget_ = 0;
   ingest_status_ = Status::OK();
@@ -270,8 +272,8 @@ Status ParallelAdaptiveJoin::ControlPoint() {
 stats::JoinProgress ParallelAdaptiveJoin::Progress() const {
   const adaptive::AdaptiveOptions& adaptive = options_.base.adaptive;
   const exec::Side child_side = exec::OtherSide(adaptive.parent_side);
-  // The global join progress the single-threaded monitor would read
-  // off its one core, aggregated across shards by the coordinator.
+  // The global join progress, aggregated across shard cores by the
+  // coordinator (no shard core sees cross-shard matches).
   stats::JoinProgress progress;
   progress.parents_scanned = exchange_->side_count(adaptive.parent_side);
   progress.children_scanned = exchange_->side_count(child_side);
@@ -324,14 +326,13 @@ Status ParallelAdaptiveJoin::RunControlLoop() {
   }
   if (decision.next != state_) {
     return ApplyTransition(decision.next, assessment, decision.phi);
-  } else if (options_.base.record_trace) {
-    adaptive::AssessmentRecord record;
-    record.assessment = assessment;
-    record.state_before = state_;
-    record.state_after = state_;
-    record.phi = decision.phi;
-    trace_.Record(std::move(record));
   }
+  adaptive::AssessmentRecord record;
+  record.assessment = assessment;
+  record.state_before = state_;
+  record.state_after = state_;
+  record.phi = decision.phi;
+  trace_.Record(std::move(record));
   return Status::OK();
 }
 
@@ -345,9 +346,10 @@ Status ParallelAdaptiveJoin::ApplyTransition(ProcessorState next,
   record.phi = phi;
   // Broadcast: every shard enters the new state at the epoch barrier,
   // catching up its own lagging structures in parallel. The summed
-  // per-shard catch-up counts equal the single-threaded engine's,
-  // because the shard stores partition the global store and every
-  // shard last switched at the same global boundary.
+  // per-shard catch-up counts equal a one-shard run's, because the
+  // shard stores partition the global store and every shard last
+  // switched at the same global boundary. One clock pair per
+  // transition prices the catch-up (§4.3's v_i).
   std::vector<std::pair<uint64_t, uint64_t>> catchups(shards_.size());
   std::vector<std::function<void()>> tasks;
   tasks.reserve(shards_.size());
@@ -356,7 +358,9 @@ Status ParallelAdaptiveJoin::ApplyTransition(ProcessorState next,
     auto* slot = &catchups[i];
     tasks.push_back([shard, next, slot] { *slot = shard->ApplyState(next); });
   }
+  Timer timer;
   Status broadcast = RunTasks(std::move(tasks));
+  transition_time_ns_[adaptive::StateIndex(next)] += timer.ElapsedNanos();
   if (!broadcast.ok()) {
     // Some shards switched, some did not: the safe-state-transfer
     // invariant is broken and no epoch may run on the mixed states.
@@ -370,9 +374,7 @@ Status ParallelAdaptiveJoin::ApplyTransition(ProcessorState next,
   }
   state_ = next;
   cost_.AddTransition(next);
-  if (options_.base.record_trace) {
-    trace_.Record(std::move(record));
-  }
+  trace_.Record(std::move(record));
   return Status::OK();
 }
 
@@ -513,6 +515,9 @@ Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
   // phases execute.
   MaybeSubmitIngest();
 
+  // One clock pair per epoch prices the epoch's single state (phase
+  // A + phase B + merge; routing and control are outside it).
+  Timer epoch_timer;
   // Phase A: per-shard step loops over their partitions.
   std::vector<std::function<void()>> tasks;
   tasks.reserve(shards_.size());
@@ -569,6 +574,7 @@ Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
         merged.WithContext("epoch=" + std::to_string(epoch_));
     return pump_error_;
   }
+  state_time_ns_[adaptive::StateIndex(state_)] += epoch_timer.ElapsedNanos();
   ++epoch_;
   // The merged epoch's route is spent: drop it now so a fault at the
   // *next* control point (a failed budget charge) cannot mistake its
@@ -761,16 +767,6 @@ uint64_t ParallelAdaptiveJoin::IngestSideMemoryUsage() const {
                                         : 0;
   for (const auto& shard : shards_) bytes += shard->StagedMemoryUsage();
   bytes += staged_route_.capacity() * sizeof(RouteEntry);
-  // Prefetching children buffer source batches on their own producer
-  // threads; their deques are part of this query's footprint (the
-  // consumer-side serving batches are owned by whichever context pulls
-  // the exchange — the same one calling this).
-  if (auto* prefetch = dynamic_cast<exec::PrefetchSource*>(left_)) {
-    bytes += prefetch->ApproximateMemoryUsage();
-  }
-  if (auto* prefetch = dynamic_cast<exec::PrefetchSource*>(right_)) {
-    bytes += prefetch->ApproximateMemoryUsage();
-  }
   return bytes;
 }
 
@@ -957,18 +953,17 @@ Status ParallelAdaptiveJoin::MergeEpoch() {
       }
     }
 
-    // Deterministic shard merge order == single-threaded output order:
-    // every probe appends its matches sorted by stored id, and stored
-    // ids in the one-store engine are exactly the per-side ordinals.
+    // Deterministic shard merge order == one-shard output order: every
+    // probe appends its matches sorted by stored id, and stored ids in
+    // a one-shard run are exactly the per-side ordinals.
     std::sort(merge_scratch_.begin(), merge_scratch_.end(),
               [](const MergedMatch& a, const MergedMatch& b) {
                 return a.stored_ordinal < b.stored_ordinal;
               });
 
-    // Replay the step against the global flags, exactly as the
-    // single-threaded core does: flag/counter updates for the whole
-    // step first, attribution afterwards (§3.3 snapshots the flags at
-    // the end of the step).
+    // Replay the step against the global flags, exactly as one core
+    // does: flag/counter updates for the whole step first, attribution
+    // afterwards (§3.3 snapshots the flags at the end of the step).
     for (const MergedMatch& merged : merge_scratch_) {
       if (merged.ref.kind == join::MatchKind::kExact) {
         matched_exactly_[read_idx][merged.probe_ordinal] = 1;
@@ -1086,8 +1081,7 @@ Result<std::optional<storage::Tuple>> ParallelAdaptiveJoin::Next() {
       MaterializeRow(out_buffer_[out_pos_++]));
 }
 
-template <typename Batch>
-Status ParallelAdaptiveJoin::FillBatch(Batch* out) {
+Status ParallelAdaptiveJoin::NextColumnBatch(storage::ColumnBatch* out) {
   if (!open_) return Status::FailedPrecondition(name() + " not open");
   out->Reset(&output_schema_);
   // On error the partial batch is discarded per the Operator contract;
@@ -1107,17 +1101,9 @@ Status ParallelAdaptiveJoin::FillBatch(Batch* out) {
       return status;
     }
     if (!have_output) break;
-    EmitRef(out_buffer_[out_pos_++], out);
+    MaterializeRefInto(out_buffer_[out_pos_++], out);
   }
   return Status::OK();
-}
-
-Status ParallelAdaptiveJoin::NextColumnBatch(storage::ColumnBatch* out) {
-  return FillBatch(out);
-}
-
-Status ParallelAdaptiveJoin::NextBatch(storage::TupleBatch* out) {
-  return FillBatch(out);
 }
 
 Result<size_t> ParallelAdaptiveJoin::AdvanceUnmaterialized(size_t max_rows) {

@@ -1,6 +1,8 @@
 #ifndef AQP_EXEC_PARALLEL_PARALLEL_JOIN_H_
 #define AQP_EXEC_PARALLEL_PARALLEL_JOIN_H_
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -8,9 +10,6 @@
 #include <string>
 #include <vector>
 
-#include <atomic>
-
-#include "adaptive/adaptive_join.h"
 #include "adaptive/cost_model.h"
 #include "adaptive/mar.h"
 #include "adaptive/state.h"
@@ -141,11 +140,10 @@ struct IngestStats {
 
 /// \brief Configuration of the partition-parallel adaptive join.
 struct ParallelJoinOptions {
-  /// Join spec, interleaving, MAR thresholds, weights — exactly the
-  /// single-threaded operator's knobs; the parallel engine is a
-  /// drop-in with identical semantics.
+  /// Join spec, interleaving, MAR thresholds, weights.
   adaptive::AdaptiveJoinOptions base;
-  /// Shard (worker) count. 0 = hardware concurrency.
+  /// Shard (worker) count. 0 = hardware concurrency. 1 runs the same
+  /// drive loop with a single partition.
   size_t num_shards = 0;
   /// Epoch length in steps when no control point bounds it (pinned
   /// policy, or a scripted policy past its last entry). Only
@@ -199,11 +197,36 @@ struct ParallelMatchRef {
   join::MatchKind kind = join::MatchKind::kExact;
 };
 
-/// \brief Partition-parallel symmetric join with a globally
-/// coordinated MAR loop.
+/// \brief The paper's hybrid join operator: a pipelined symmetric hash
+/// join whose per-input matching mode (exact / approximate) is driven
+/// at runtime by the Monitor-Assess-Respond loop, partitioned over N
+/// shards with one globally coordinated MAR loop. It is the system's
+/// only join operator; at num_shards = 1 it is the single-threaded
+/// join.
 ///
-/// A radix exchange replays the single-threaded input schedule and
-/// routes each tuple by join-key hash to one of N shards, each owning
+/// Execution starts in `options.base.adaptive.initial_state` (lex/rex
+/// by default). Every δ_adapt steps — always at a quiescent state —
+/// the monitor's observables are assessed: a statistically significant
+/// shortfall of the observed result size versus the parent-child
+/// binomial expectation (σ) switches perturbed inputs to approximate
+/// matching (ϕ1–ϕ3); a window of consistently exact matches switches
+/// back (ϕ0). A pinned policy never switches: pinned lex/rex is SHJoin
+/// (§2.1), pinned lap/rap is SSHJoin (§2.2).
+///
+/// \code
+///   ParallelJoinOptions options;
+///   options.base.join.spec.left_column = 1;    // accidents.location
+///   options.base.join.spec.right_column = 0;   // atlas.location
+///   options.base.adaptive.parent_side = exec::Side::kRight;
+///   options.base.adaptive.parent_table_size = atlas.size();
+///   options.num_shards = 1;
+///   ParallelAdaptiveJoin join(&accidents_scan, &atlas_scan, options);
+///   auto result = exec::CollectAll(&join);
+/// \endcode
+///
+/// A radix exchange reads the two children in the interleave
+/// scheduler's order and routes each tuple by join-key hash to one of
+/// N shards, each owning
 /// its own TupleStore / ExactIndex / QGramIndex (inside a
 /// HybridJoinCore). Execution is epoch-synchronized: one epoch spans
 /// the steps to the next MAR control point (δ_adapt in adaptive mode),
@@ -223,19 +246,23 @@ struct ParallelMatchRef {
 /// next epoch — the paper's safe-state-transfer guarantee, since every
 /// shard is quiescent at the barrier.
 ///
-/// Equivalence contract (tests/integration/parallel_parity_test.cc):
-/// for any shard count, the output row *sequence* and the adaptation
-/// trace are byte-identical to the single-threaded AdaptiveJoin. Exact
-/// matches are intra-shard by construction (equal keys hash equally);
+/// Equivalence contract (tests/integration/parallel_parity_test.cc and
+/// the other parity suites): the output row *sequence* and the
+/// adaptation trace are byte-identical across shard counts, child
+/// batch sizes, drive modes, and pipelined vs serial ingest, and
+/// against the recorded reference digests
+/// (tests/integration/testdata/reference_digests.inc). Exact matches
+/// are intra-shard by construction (equal keys hash equally);
 /// approximate cross-shard matches are recovered by phase B with the
 /// same prefix visibility as a single index; and the merge emits each
 /// step's matches sorted by the stored tuple's global ordinal — the
-/// deterministic shard merge order, which equals the single-threaded
-/// probes' ascending-stored-id output order.
+/// deterministic shard merge order, which equals one index's
+/// ascending-stored-id probe output order.
 ///
-/// Three drive modes are supported, all producing identical streams:
-/// row protocol (Next/NextBatch, materialized at delivery), match-ref
-/// protocol (NextMatchRefs + MaterializeRow), and the counting drain
+/// Four drive modes are supported, all producing identical streams:
+/// columnar batches (NextColumnBatch, cells written straight from the
+/// shard stores), the row protocol (Next, materialized at delivery),
+/// match refs (NextMatchRefs + MaterializeRow), and the counting drain
 /// (AdvanceUnmaterialized; never builds a row).
 class ParallelAdaptiveJoin : public exec::Operator,
                              public exec::UnmaterializedCounter {
@@ -248,7 +275,6 @@ class ParallelAdaptiveJoin : public exec::Operator,
   Status Open() override;
   Result<std::optional<storage::Tuple>> Next() override;
   Status NextColumnBatch(storage::ColumnBatch* out) override;
-  Status NextBatch(storage::TupleBatch* out) override;
   Status Close() override;
   const storage::Schema& output_schema() const override {
     return output_schema_;
@@ -317,6 +343,17 @@ class ParallelAdaptiveJoin : public exec::Operator,
   const adaptive::Monitor& monitor() const { return *monitor_; }
   const adaptive::AdaptationTrace& trace() const { return trace_; }
   uint64_t steps() const { return exchange_ ? exchange_->steps() : 0; }
+  /// Measured wall time of the epochs run in `s` (phase A, phase B,
+  /// and merge; one clock pair per epoch), in nanoseconds.
+  int64_t state_time_ns(adaptive::ProcessorState s) const {
+    return state_time_ns_[adaptive::StateIndex(s)];
+  }
+  /// Measured wall time of the catch-up broadcasts of transitions
+  /// *into* `s`, in nanoseconds (the raw material for the §4.3 v_i
+  /// weights).
+  int64_t transition_time_ns(adaptive::ProcessorState s) const {
+    return transition_time_ns_[adaptive::StateIndex(s)];
+  }
   uint64_t pairs_emitted() const { return pairs_emitted_; }
   uint64_t exact_pairs() const { return exact_pairs_; }
   uint64_t approximate_pairs() const { return approximate_pairs_; }
@@ -330,10 +367,10 @@ class ParallelAdaptiveJoin : public exec::Operator,
   const ParallelJoinOptions& options() const { return options_; }
 
   /// Engine memory footprint right now: shard committed+staged tiers,
-  /// exchange refill batches, prefetching children, and coordinator
-  /// buffers. Call only when quiescent (between drive calls with no
-  /// ingest task in flight, or after the stream ended) — the
-  /// per-control-point refresh uses the race-free split internally.
+  /// exchange refill batches, and coordinator buffers. Call only when
+  /// quiescent (between drive calls with no ingest task in flight, or
+  /// after the stream ended) — the per-control-point refresh uses the
+  /// race-free split internally.
   uint64_t ApproximateMemoryUsage() const;
   /// Footprint as of the last control-point refresh (0 before any).
   uint64_t memory_bytes() const { return memory_bytes_; }
@@ -352,25 +389,6 @@ class ParallelAdaptiveJoin : public exec::Operator,
     uint32_t probe_ordinal = 0;
     uint32_t stored_ordinal = 0;
   };
-
-  /// Per-batch-type ref emission (the only difference between the two
-  /// delivery protocols).
-  void EmitRef(const ParallelMatchRef& ref,
-               storage::ColumnBatch* out) const {
-    MaterializeRefInto(ref, out);
-  }
-  void EmitRef(const ParallelMatchRef& ref,
-               storage::TupleBatch* out) const {
-    out->Append(MaterializeRow(ref));
-  }
-
-  /// Shared drive loop of NextColumnBatch/NextBatch: emits buffered
-  /// refs until the batch is full or the stream ends. On error the
-  /// partial batch is discarded and the output cursor rewound (valid
-  /// within one buffer generation), keeping the consumed refs
-  /// deliverable.
-  template <typename Batch>
-  Status FillBatch(Batch* out);
 
   /// Runs one epoch (control point, route-or-swap, phases, merge).
   /// Sets `*stream_ended` when no step could be routed. With
@@ -423,10 +441,10 @@ class ParallelAdaptiveJoin : public exec::Operator,
   /// is attached.
   Status RefreshMemoryAccounting();
   /// Sum of the tiers owned by the ingest/staging context: exchange
-  /// refill batches, shard staged tiers, the staged route, and
-  /// prefetching children. Called by the ingest task after staging
-  /// (published via ingest_side_bytes_), or by the coordinator when no
-  /// task is in flight.
+  /// refill batches, shard staged tiers, and the staged route. Called
+  /// by the ingest task after staging (published via
+  /// ingest_side_bytes_), or by the coordinator when no task is in
+  /// flight.
   uint64_t IngestSideMemoryUsage() const;
   /// Coordinator-owned buffers (route, merge scratch, output buffer,
   /// matched flags) — always safe from the coordinator.
@@ -440,11 +458,13 @@ class ParallelAdaptiveJoin : public exec::Operator,
   void UpdateMemoryAccounting();
   /// @}
 
-  /// Mirrors AdaptiveJoin::OnQuiescentPoint. An error (failed
-  /// catch-up broadcast) leaves shard states inconsistent and is never
-  /// degradable.
+  /// Epoch control point: replays due script entries (scripted), runs
+  /// the MAR loop every δ_adapt steps (adaptive), or nothing (pinned).
+  /// An error (failed catch-up broadcast) leaves shard states
+  /// inconsistent and is never degradable.
   Status ControlPoint();
-  /// Mirrors AdaptiveJoin::RunControlLoop on the global aggregates.
+  /// One MAR activation on the global aggregates: assess, decide,
+  /// transition or record the stay.
   Status RunControlLoop();
   /// Steps until the next control point bounds the epoch.
   uint64_t StepsToNextControlPoint() const;
@@ -501,6 +521,8 @@ class ParallelAdaptiveJoin : public exec::Operator,
   adaptive::ProcessorState state_;
   uint64_t last_assessment_step_ = 0;
   size_t script_position_ = 0;
+  std::array<int64_t, adaptive::kNumProcessorStates> state_time_ns_{};
+  std::array<int64_t, adaptive::kNumProcessorStates> transition_time_ns_{};
 
   /// Coordinator-owned global matched flags, indexed by per-side
   /// ordinal: shard-core flags only see intra-shard matches, so the
@@ -545,8 +567,9 @@ class ParallelAdaptiveJoin : public exec::Operator,
   /// Produced-but-undelivered output refs, in global order.
   std::vector<ParallelMatchRef> out_buffer_;
   size_t out_pos_ = 0;
-  /// Bumped whenever out_buffer_ is recycled (NextBatch's error-path
-  /// cursor rewind is only valid within one buffer generation).
+  /// Bumped whenever out_buffer_ is recycled (NextColumnBatch's
+  /// error-path cursor rewind is only valid within one buffer
+  /// generation).
   uint64_t buffer_generation_ = 0;
 
   bool open_ = false;

@@ -167,8 +167,8 @@ void JoinShard::RunCrossProbePhase(const std::vector<JoinShard*>& shards) {
           routed.side, routed.local_id, approx_options_, &cross_scratch_,
           &cross_stats_, &cross_tmp_);
       for (const join::JoinMatch& m : cross_tmp_) {
-        // Sequence gate: the single-threaded join would only have
-        // indexed tuples that arrived before this probe's step.
+        // Sequence gate: a one-shard run would only have indexed
+        // tuples that arrived before this probe's step.
         if (other->seq_[stored_idx][m.stored_id] >= routed.seq) continue;
         cross_matches_.push_back(CrossMatch{m, other->index_});
       }

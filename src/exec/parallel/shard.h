@@ -53,13 +53,13 @@ struct CrossMatch {
 ///
 /// Partitioning is by join-key hash, so *every exact match is
 /// intra-shard* (equal keys hash equally) and the shard's own step
-/// loop — phase A — finds it with the exact prefix semantics of the
-/// single-threaded engine: the shard processes its rows in global
-/// step order, and its stores grow in that order. Approximate matches
-/// may cross partitions; phase B fans each approximate probe out to
-/// the other shards' q-gram indexes after the phase-A barrier, gated
-/// by global sequence so a probe sees exactly the tuples the
-/// single-threaded join would have indexed before it.
+/// loop — phase A — finds it with the exact prefix semantics of a
+/// one-shard run: the shard processes its rows in global step order,
+/// and its stores grow in that order. Approximate matches may cross
+/// partitions; phase B fans each approximate probe out to the other
+/// shards' q-gram indexes after the phase-A barrier, gated by global
+/// sequence so a probe sees exactly the tuples a one-shard run would
+/// have indexed before it.
 ///
 /// Tuple transport is columnar end to end: the exchange scatters
 /// column slices into the shard's per-side pending ColumnBatch (no
@@ -140,7 +140,7 @@ class JoinShard {
 
   /// \name Phase runners (worker threads).
   /// @{
-  /// Phase A: the existing symmetric-join step loop over the shard's
+  /// Phase A: the symmetric-join step loop over the shard's
   /// partition — store, maintain live index, probe intra-shard, record
   /// per-step match regions.
   void RunBuildPhase();

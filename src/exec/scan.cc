@@ -38,18 +38,6 @@ Status RelationScan::NextColumnBatch(storage::ColumnBatch* out) {
   return Status::OK();
 }
 
-Status RelationScan::NextBatch(storage::TupleBatch* out) {
-  if (!open_) return Status::FailedPrecondition("RelationScan not open");
-  out->Reset(&relation_->schema());
-  const size_t end =
-      std::min(relation_->size(), position_ + out->capacity());
-  const std::vector<storage::Tuple>& rows = relation_->rows();
-  for (; position_ < end; ++position_) {
-    out->Append(rows[position_]);
-  }
-  return Status::OK();
-}
-
 Status RelationScan::Close() {
   if (!open_) return Status::FailedPrecondition("RelationScan not open");
   open_ = false;
@@ -79,17 +67,6 @@ Status VectorScan::NextColumnBatch(storage::ColumnBatch* out) {
   // batch owns plain bytes (column-major, like RelationScan).
   out->AppendTupleRows(tuples_.data() + position_, end - position_);
   position_ = end;
-  return Status::OK();
-}
-
-Status VectorScan::NextBatch(storage::TupleBatch* out) {
-  if (!open_) return Status::FailedPrecondition("VectorScan not open");
-  out->Reset(&schema_);
-  const size_t end = std::min(tuples_.size(), position_ + out->capacity());
-  // Copies, not moves: the scan stays re-openable.
-  for (; position_ < end; ++position_) {
-    out->Append(tuples_[position_]);
-  }
   return Status::OK();
 }
 

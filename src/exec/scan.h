@@ -28,7 +28,6 @@ class RelationScan : public Operator {
   Status Open() override;
   Result<std::optional<storage::Tuple>> Next() override;
   Status NextColumnBatch(storage::ColumnBatch* out) override;
-  Status NextBatch(storage::TupleBatch* out) override;
   Status Close() override;
   const storage::Schema& output_schema() const override {
     return relation_->schema();
@@ -56,7 +55,6 @@ class VectorScan : public Operator {
   Status Open() override;
   Result<std::optional<storage::Tuple>> Next() override;
   Status NextColumnBatch(storage::ColumnBatch* out) override;
-  Status NextBatch(storage::TupleBatch* out) override;
   Status Close() override;
   const storage::Schema& output_schema() const override { return schema_; }
   std::string name() const override { return "VectorScan"; }

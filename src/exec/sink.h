@@ -16,8 +16,8 @@ namespace exec {
 struct DrainOptions {
   /// Stop after this many tuples (0 = unlimited).
   size_t limit = 0;
-  /// Rows pulled per NextBatch() call. Deliberately smaller than the
-  /// bulk-drain default: an early-stopping visitor discards at most
+  /// Rows pulled per NextColumnBatch() call. Deliberately smaller than
+  /// the bulk-drain default: an early-stopping visitor discards at most
   /// batch_size - 1 already-produced tuples, so a modest batch bounds
   /// the overshoot of progressive consumption while still amortizing
   /// the per-call overhead.

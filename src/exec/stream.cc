@@ -59,17 +59,6 @@ Status PushSource::NextColumnBatch(storage::ColumnBatch* out) {
   return Status::OK();
 }
 
-Status PushSource::NextBatch(storage::TupleBatch* out) {
-  if (!open_) return Status::FailedPrecondition("PushSource not open");
-  out->Reset(&schema_);
-  while (!out->full() && !queue_.empty()) {
-    out->Append(std::move(queue_.front()));
-    queue_.pop_front();
-  }
-  blocked_ = out->empty() && !finished_;
-  return Status::OK();
-}
-
 Status PushSource::Close() {
   if (!open_) return Status::FailedPrecondition("PushSource not open");
   open_ = false;
@@ -101,20 +90,6 @@ Status GeneratorSource::NextColumnBatch(storage::ColumnBatch* out) {
       break;
     }
     out->AppendTupleRow(*t);
-  }
-  return Status::OK();
-}
-
-Status GeneratorSource::NextBatch(storage::TupleBatch* out) {
-  if (!open_) return Status::FailedPrecondition("GeneratorSource not open");
-  out->Reset(&schema_);
-  while (!out->full() && !done_) {
-    std::optional<storage::Tuple> t = generator_();
-    if (!t.has_value()) {
-      done_ = true;
-      break;
-    }
-    out->Append(std::move(*t));
   }
   return Status::OK();
 }

@@ -37,7 +37,6 @@ class PushSource : public Operator {
   Status Open() override;
   Result<std::optional<storage::Tuple>> Next() override;
   Status NextColumnBatch(storage::ColumnBatch* out) override;
-  Status NextBatch(storage::TupleBatch* out) override;
   Status Close() override;
   const storage::Schema& output_schema() const override { return schema_; }
   std::string name() const override { return "PushSource"; }
@@ -64,7 +63,6 @@ class GeneratorSource : public Operator {
   Status Open() override;
   Result<std::optional<storage::Tuple>> Next() override;
   Status NextColumnBatch(storage::ColumnBatch* out) override;
-  Status NextBatch(storage::TupleBatch* out) override;
   Status Close() override;
   const storage::Schema& output_schema() const override { return schema_; }
   std::string name() const override { return "GeneratorSource"; }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "exec/interleave.h"
 #include "join/exact_index.h"
 #include "join/join_types.h"
 #include "join/probe.h"
@@ -38,8 +39,33 @@ struct StepObservables {
   uint32_t approx_attributed[2] = {0, 0};
 };
 
-/// \brief The switchable symmetric join engine shared by SHJoin,
-/// SSHJoin, and the adaptive operator.
+/// \brief Configuration of the symmetric join: what to join, how the
+/// inputs are interleaved, and the output shape. The join operator
+/// (exec::parallel::ParallelAdaptiveJoin) takes it inside
+/// adaptive::AdaptiveJoinOptions.
+struct SymmetricJoinOptions {
+  /// What to join and how to compare (θ_sim, q, measure).
+  JoinSpec spec;
+  /// Input alternation policy (the paper scans "each of the tables in
+  /// turn").
+  exec::InterleavePolicy interleave = exec::InterleavePolicy::kAlternate;
+  /// Expected input cardinalities for the proportional policy and for
+  /// store pre-sizing (0 = unknown).
+  uint64_t left_size_hint = 0;
+  uint64_t right_size_hint = 0;
+  /// Append a "sim" double column to every output tuple.
+  bool emit_similarity = false;
+  /// Approximate-probe knobs (ablation switches).
+  ApproxProbeOptions approx;
+  /// Rows per input refill pulled from each child. Results and
+  /// adaptation traces are identical for every value.
+  size_t batch_size = storage::ColumnBatch::kDefaultCapacity;
+};
+
+/// \brief The switchable symmetric join engine: one per join shard.
+/// Pinned to exact probes on both sides it is SHJoin (§2.1), pinned to
+/// approximate probes SSHJoin (§2.2); the MAR loop switches it between
+/// the four states.
 ///
 /// The core owns, per operand: the tuple store (tuples are kept exactly
 /// once, §2.3), the exact hash index, and the q-gram index. Only the

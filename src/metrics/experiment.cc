@@ -2,6 +2,7 @@
 
 #include "common/macros.h"
 #include "common/timer.h"
+#include "exec/parallel/parallel_join.h"
 #include "exec/scan.h"
 
 namespace aqp {
@@ -20,7 +21,6 @@ adaptive::AdaptiveJoinOptions MakeJoinOptions(
   jo.adaptive.parent_side = exec::Side::kRight;
   jo.adaptive.parent_table_size = tc.parent.size();
   jo.weights = options.weights;
-  jo.record_trace = options.record_trace;
   return jo;
 }
 
@@ -31,12 +31,14 @@ Result<RunStats> RunPolicy(const datagen::TestCase& tc,
                            adaptive::AdaptationTrace* trace_out) {
   exec::RelationScan child_scan(&tc.child);
   exec::RelationScan parent_scan(&tc.parent);
-  adaptive::AdaptiveJoinOptions jo = MakeJoinOptions(tc, options);
-  jo.adaptive.policy = policy;
+  exec::parallel::ParallelJoinOptions jo;
+  jo.base = MakeJoinOptions(tc, options);
+  jo.base.adaptive.policy = policy;
   if (policy == adaptive::AdaptivePolicy::kPinned) {
-    jo.adaptive.initial_state = pinned_state;
+    jo.base.adaptive.initial_state = pinned_state;
   }
-  adaptive::AdaptiveJoin join(&child_scan, &parent_scan, jo);
+  jo.num_shards = 1;
+  exec::parallel::ParallelAdaptiveJoin join(&child_scan, &parent_scan, jo);
 
   Timer timer;
   auto count = exec::CountAll(&join);

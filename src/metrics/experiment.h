@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "adaptive/adaptive_join.h"
+#include "adaptive/mar.h"
 #include "common/result.h"
 #include "datagen/generator.h"
 #include "metrics/gain_cost.h"
@@ -29,9 +29,6 @@ struct ExperimentOptions {
 
   /// Weights pricing the step/transition counts (paper defaults).
   adaptive::StateWeights weights = adaptive::StateWeights::Paper();
-
-  /// Also run the adaptive policy with trace recording (cheap).
-  bool record_trace = true;
 };
 
 /// \brief Results of running one test case under the adaptive policy
@@ -64,9 +61,10 @@ struct ExperimentResult {
 /// metrics.
 Result<ExperimentResult> RunExperiment(const ExperimentOptions& options);
 
-/// \brief Runs a pre-generated test case under an explicit policy;
-/// building block for RunExperiment and the parameter-tuning bench.
-/// `pinned_state` is only used with AdaptivePolicy::kPinned.
+/// \brief Runs a pre-generated test case under an explicit policy on
+/// the join engine at one shard; building block for RunExperiment and
+/// the parameter-tuning bench. `pinned_state` is only used with
+/// AdaptivePolicy::kPinned.
 Result<RunStats> RunPolicy(const datagen::TestCase& tc,
                            const ExperimentOptions& options,
                            adaptive::AdaptivePolicy policy,

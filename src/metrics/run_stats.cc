@@ -20,17 +20,16 @@ double RunStats::StepShare(adaptive::ProcessorState s) const {
          static_cast<double>(total_steps);
 }
 
-RunStats SummarizeRun(const adaptive::AdaptiveJoin& join,
+RunStats SummarizeRun(const exec::parallel::ParallelAdaptiveJoin& join,
                       const std::string& label, double wall_seconds) {
   RunStats stats;
   stats.label = label;
-  const join::HybridJoinCore& core = join.core();
-  stats.result_pairs = core.pairs_emitted();
+  stats.result_pairs = join.pairs_emitted();
   const exec::Side child =
-      exec::OtherSide(join.adaptive_options().adaptive.parent_side);
-  stats.distinct_children_matched = core.distinct_matched(child);
-  stats.exact_pairs = core.exact_pairs();
-  stats.approx_pairs = core.approximate_pairs();
+      exec::OtherSide(join.options().base.adaptive.parent_side);
+  stats.distinct_children_matched = join.distinct_matched(child);
+  stats.exact_pairs = join.exact_pairs();
+  stats.approx_pairs = join.approximate_pairs();
 
   const adaptive::CostAccountant& cost = join.cost();
   stats.total_steps = cost.total_steps();
@@ -40,28 +39,17 @@ RunStats SummarizeRun(const adaptive::AdaptiveJoin& join,
     stats.transitions_into[adaptive::StateIndex(s)] = cost.transitions(s);
     stats.state_time_ns[adaptive::StateIndex(s)] = join.state_time_ns(s);
   }
-  stats.catchup_tuples = core.catchup_tuples();
+  for (size_t i = 0; i < join.num_shards(); ++i) {
+    const exec::parallel::JoinShard& shard = join.shard(i);
+    stats.catchup_tuples += shard.core().catchup_tuples();
+    stats.probe.MergeFrom(shard.core().approx_probe_stats());
+    stats.probe.MergeFrom(shard.cross_probe_stats());
+  }
   stats.wall_seconds = wall_seconds;
-  stats.probe = core.approx_probe_stats();
-  stats.memory_bytes = core.ApproximateMemoryUsage();
-  stats.peak_memory_bytes = stats.memory_bytes;
-  return stats;
-}
-
-void AddIngestStats(const exec::parallel::IngestStats& ingest,
-                    RunStats* stats) {
-  stats->ingest_epochs_staged = ingest.epochs_staged;
-  stats->ingest_epochs_serial = ingest.epochs_routed_serially;
-  stats->ingest_stall_ns = ingest.stall_ns;
-  stats->ingest_overlap_route_ns = ingest.overlap_route_ns;
-  stats->ingest_serial_route_ns = ingest.serial_route_ns;
-}
-
-void AddMemoryStats(const exec::parallel::ParallelAdaptiveJoin& join,
-                    RunStats* stats) {
-  stats->memory_bytes = join.memory_bytes();
-  stats->peak_memory_bytes =
+  stats.memory_bytes = join.memory_bytes();
+  stats.peak_memory_bytes =
       std::max(join.peak_memory_bytes(), join.memory_bytes());
+  return stats;
 }
 
 }  // namespace metrics

@@ -154,10 +154,9 @@ struct QueryStats {
   /// in which epoch, on which shard, with the original status.
   std::optional<exec::parallel::FaultReport> fault;
   /// Engine memory footprint at the end of the final attempt
-  /// (shard stores/indexes, exchange and staged tiers, prefetch
-  /// buffers, coordinator state) and its high-water across the run —
-  /// aggregated from the parallel engine, which previously reported no
-  /// memory at all through RunStats.
+  /// (shard stores/indexes, exchange and staged tiers, coordinator
+  /// state) and its high-water across the run, aggregated over the
+  /// join's shards.
   uint64_t memory_bytes = 0;
   uint64_t peak_memory_bytes = 0;
   /// True iff the soft memory budget clamped the query to exact-only.

@@ -24,9 +24,9 @@ namespace storage {
 /// contiguous arena, so filling a batch performs no per-cell heap
 /// allocation — arena growth is amortized, and a recycled batch
 /// (Reset with the same schema) reaches an allocation-free steady
-/// state. This is what replaced the row-of-variant TupleBatch on the
-/// hot path: the PR 1 profile showed per-tuple `std::vector<Value>`
-/// and `std::string` construction dominating the exact-join loop.
+/// state. Columns rather than rows of Values, because per-tuple
+/// `std::vector<Value>` and `std::string` construction dominated the
+/// exact-join loop in a profile.
 ///
 /// An optional *join-key hash lane* carries one precomputed FNV-1a
 /// hash per row (ComputeKeyHashes over the join column); consumers
@@ -37,16 +37,17 @@ namespace storage {
 ///
 /// A batch borrows its schema from the producing operator (the schema
 /// must outlive the batch, which holds in the pull model). Capacity is
-/// a soft contract exactly as in TupleBatch: appends past capacity
-/// degrade to growth, not corruption.
+/// a soft contract: appends past capacity degrade to growth, not
+/// corruption.
 ///
 /// Views returned by StringAt() alias the arena and are invalidated by
 /// any append, Clear(), or Reset() — consume a row before mutating the
 /// batch (the pipeline copies rows into stores/sinks immediately).
 class ColumnBatch {
  public:
-  /// Default number of rows per batch (matches TupleBatch so row and
-  /// columnar drives see the same batch boundaries).
+  /// Default number of rows per batch; chosen so a batch of typical
+  /// linkage tuples stays comfortably inside the L2 cache. Also the
+  /// join's default input refill size (SymmetricJoinOptions).
   static constexpr size_t kDefaultCapacity = 1024;
 
   ColumnBatch() = default;

@@ -1,11 +1,12 @@
-#include "adaptive/adaptive_join.h"
+// The paper's hybrid operator — the join engine on one shard — under
+// its three control policies.
 
 #include <gtest/gtest.h>
 
 #include "datagen/generator.h"
 #include "exec/scan.h"
-#include "join/shjoin.h"
-#include "join/sshjoin.h"
+#include "join/brute_force.h"
+#include "testing/engine.h"
 
 namespace aqp {
 namespace adaptive {
@@ -14,6 +15,7 @@ namespace {
 using datagen::PerturbationPattern;
 using datagen::TestCase;
 using datagen::TestCaseOptions;
+using engine_test::OneShardJoin;
 
 TestCase SmallCase(double variant_rate, PerturbationPattern pattern =
                                             PerturbationPattern::kUniform) {
@@ -40,7 +42,7 @@ AdaptiveJoinOptions JoinOptions(const TestCase& tc) {
   return o;
 }
 
-size_t RunAndCount(AdaptiveJoin* join) {
+size_t RunAndCount(OneShardJoin* join) {
   auto count = exec::CountAll(join);
   EXPECT_TRUE(count.ok()) << count.status().ToString();
   return count.ok() ? *count : 0;
@@ -53,17 +55,12 @@ TEST(AdaptiveJoinTest, PinnedExactEqualsSHJoin) {
   o.adaptive.initial_state = ProcessorState::kLexRex;
   exec::RelationScan child(&tc.child);
   exec::RelationScan parent(&tc.parent);
-  AdaptiveJoin pinned(&child, &parent, o);
+  OneShardJoin pinned(&child, &parent, o);
   const size_t pinned_count = RunAndCount(&pinned);
 
-  exec::RelationScan child2(&tc.child);
-  exec::RelationScan parent2(&tc.parent);
-  join::SymmetricJoinOptions so;
-  so.spec = o.join.spec;
-  join::SHJoin shjoin(&child2, &parent2, so);
-  auto sh_count = exec::CountAll(&shjoin);
-  ASSERT_TRUE(sh_count.ok());
-  EXPECT_EQ(pinned_count, *sh_count);
+  // SHJoin's result: every exactly equal pair.
+  EXPECT_EQ(pinned_count,
+            join::BruteForceExactJoin(tc.child, tc.parent, o.join.spec).size());
   // Pinned runs never transition.
   EXPECT_EQ(pinned.cost().total_transitions(), 0u);
   EXPECT_EQ(pinned.cost().steps(ProcessorState::kLexRex),
@@ -77,17 +74,13 @@ TEST(AdaptiveJoinTest, PinnedApproxEqualsSSHJoin) {
   o.adaptive.initial_state = ProcessorState::kLapRap;
   exec::RelationScan child(&tc.child);
   exec::RelationScan parent(&tc.parent);
-  AdaptiveJoin pinned(&child, &parent, o);
+  OneShardJoin pinned(&child, &parent, o);
   const size_t pinned_count = RunAndCount(&pinned);
 
-  exec::RelationScan child2(&tc.child);
-  exec::RelationScan parent2(&tc.parent);
-  join::SymmetricJoinOptions so;
-  so.spec = o.join.spec;
-  join::SSHJoin sshjoin(&child2, &parent2, so);
-  auto ssh_count = exec::CountAll(&sshjoin);
-  ASSERT_TRUE(ssh_count.ok());
-  EXPECT_EQ(pinned_count, *ssh_count);
+  // SSHJoin's result: every pair at or above θ_sim.
+  EXPECT_EQ(pinned_count, join::BruteForceSimilarityJoin(tc.child, tc.parent,
+                                                         o.join.spec)
+                              .size());
 }
 
 TEST(AdaptiveJoinTest, CleanDataStaysExact) {
@@ -95,7 +88,7 @@ TEST(AdaptiveJoinTest, CleanDataStaysExact) {
   AdaptiveJoinOptions o = JoinOptions(tc);
   exec::RelationScan child(&tc.child);
   exec::RelationScan parent(&tc.parent);
-  AdaptiveJoin join(&child, &parent, o);
+  OneShardJoin join(&child, &parent, o);
   const size_t count = RunAndCount(&join);
   EXPECT_EQ(count, tc.child.size());  // every child matches
   EXPECT_EQ(join.state(), ProcessorState::kLexRex);
@@ -114,12 +107,12 @@ TEST(AdaptiveJoinTest, DetectsVariantsAndRecoversMatches) {
   exact_o.adaptive.policy = AdaptivePolicy::kPinned;
   exec::RelationScan child_e(&tc.child);
   exec::RelationScan parent_e(&tc.parent);
-  AdaptiveJoin exact_join(&child_e, &parent_e, exact_o);
+  OneShardJoin exact_join(&child_e, &parent_e, exact_o);
   const size_t exact_count = RunAndCount(&exact_join);
 
   exec::RelationScan child(&tc.child);
   exec::RelationScan parent(&tc.parent);
-  AdaptiveJoin join(&child, &parent, o);
+  OneShardJoin join(&child, &parent, o);
   const size_t adaptive_count = RunAndCount(&join);
 
   // It must have reacted...
@@ -128,7 +121,7 @@ TEST(AdaptiveJoinTest, DetectsVariantsAndRecoversMatches) {
   // ...and recovered strictly more matches than the exact baseline.
   EXPECT_GT(adaptive_count, exact_count);
   // Switch catch-up work was recorded.
-  EXPECT_GT(join.core().catchup_tuples(), 0u);
+  EXPECT_GT(join.shard(0).core().catchup_tuples(), 0u);
 }
 
 TEST(AdaptiveJoinTest, ThetaOutZeroNeverTriggers) {
@@ -137,7 +130,7 @@ TEST(AdaptiveJoinTest, ThetaOutZeroNeverTriggers) {
   o.adaptive.theta_out = 0.0;  // p-value can never be <= 0 on real data
   exec::RelationScan child(&tc.child);
   exec::RelationScan parent(&tc.parent);
-  AdaptiveJoin join(&child, &parent, o);
+  OneShardJoin join(&child, &parent, o);
   RunAndCount(&join);
   EXPECT_EQ(join.state(), ProcessorState::kLexRex);
   EXPECT_EQ(join.cost().total_transitions(), 0u);
@@ -151,7 +144,7 @@ TEST(AdaptiveJoinTest, ScriptedPolicyFollowsScript) {
                        {300, ProcessorState::kLexRex}};
   exec::RelationScan child(&tc.child);
   exec::RelationScan parent(&tc.parent);
-  AdaptiveJoin join(&child, &parent, o);
+  OneShardJoin join(&child, &parent, o);
   RunAndCount(&join);
   EXPECT_EQ(join.cost().transitions(ProcessorState::kLapRap), 1u);
   EXPECT_EQ(join.cost().transitions(ProcessorState::kLexRex), 1u);
@@ -166,7 +159,7 @@ TEST(AdaptiveJoinTest, StepAccountingConsistent) {
   AdaptiveJoinOptions o = JoinOptions(tc);
   exec::RelationScan child(&tc.child);
   exec::RelationScan parent(&tc.parent);
-  AdaptiveJoin join(&child, &parent, o);
+  OneShardJoin join(&child, &parent, o);
   RunAndCount(&join);
   uint64_t per_state_sum = 0;
   for (ProcessorState s : kAllProcessorStates) {
@@ -183,7 +176,7 @@ TEST(AdaptiveJoinTest, RejectsInvalidAdaptiveOptionsAtOpen) {
   o.adaptive.delta_adapt = 0;
   exec::RelationScan child(&tc.child);
   exec::RelationScan parent(&tc.parent);
-  AdaptiveJoin join(&child, &parent, o);
+  OneShardJoin join(&child, &parent, o);
   EXPECT_TRUE(join.Open().IsInvalidArgument());
 }
 
@@ -192,7 +185,7 @@ TEST(AdaptiveJoinTest, TraceRecordsAssessments) {
   AdaptiveJoinOptions o = JoinOptions(tc);
   exec::RelationScan child(&tc.child);
   exec::RelationScan parent(&tc.parent);
-  AdaptiveJoin join(&child, &parent, o);
+  OneShardJoin join(&child, &parent, o);
   RunAndCount(&join);
   ASSERT_GT(join.trace().size(), 0u);
   // Assessment steps are spaced at least delta_adapt apart.
@@ -203,17 +196,6 @@ TEST(AdaptiveJoinTest, TraceRecordsAssessments) {
     }
     prev = r.assessment.step;
   }
-}
-
-TEST(AdaptiveJoinTest, DisablingTraceKeepsItEmpty) {
-  const TestCase tc = SmallCase(0.2);
-  AdaptiveJoinOptions o = JoinOptions(tc);
-  o.record_trace = false;
-  exec::RelationScan child(&tc.child);
-  exec::RelationScan parent(&tc.parent);
-  AdaptiveJoin join(&child, &parent, o);
-  RunAndCount(&join);
-  EXPECT_EQ(join.trace().size(), 0u);
 }
 
 }  // namespace

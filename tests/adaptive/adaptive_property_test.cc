@@ -4,9 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include "adaptive/adaptive_join.h"
 #include "datagen/generator.h"
 #include "exec/scan.h"
+#include "testing/engine.h"
 
 namespace aqp {
 namespace adaptive {
@@ -15,6 +15,7 @@ namespace {
 using datagen::PerturbationPattern;
 using datagen::TestCase;
 using datagen::TestCaseOptions;
+using engine_test::OneShardJoin;
 
 class AdaptivePropertyTest
     : public ::testing::TestWithParam<
@@ -40,12 +41,12 @@ RunOutcome ExecuteRun(const TestCase& tc, AdaptivePolicy policy,
   o.adaptive.initial_state = pinned;
   exec::RelationScan child(&tc.child);
   exec::RelationScan parent(&tc.parent);
-  AdaptiveJoin join(&child, &parent, o);
+  OneShardJoin join(&child, &parent, o);
   auto count = exec::CountAll(&join);
   EXPECT_TRUE(count.ok()) << count.status().ToString();
   RunOutcome outcome;
   outcome.distinct_children =
-      join.core().distinct_matched(exec::Side::kLeft);
+      join.distinct_matched(exec::Side::kLeft);
   outcome.transitions = join.cost().total_transitions();
   outcome.total_steps = join.cost().total_steps();
   return outcome;

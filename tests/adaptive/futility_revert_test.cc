@@ -7,15 +7,17 @@
 
 #include <gtest/gtest.h>
 
-#include "adaptive/adaptive_join.h"
 #include "common/random.h"
 #include "datagen/atlas.h"
 #include "datagen/variant.h"
 #include "exec/scan.h"
+#include "testing/engine.h"
 
 namespace aqp {
 namespace adaptive {
 namespace {
+
+using engine_test::OneShardJoin;
 
 /// A scenario the paper's σ misreads: an early batch of "child" rows
 /// references locations that exist in no atlas (entirely different
@@ -77,7 +79,7 @@ TEST(FutilityRevertTest, BaselineStaysApproximateForever) {
   const OrphanScenario s = MakeOrphanScenario(400, 1200, 0.3);
   exec::RelationScan child(&s.child);
   exec::RelationScan parent(&s.parent);
-  AdaptiveJoin join(&child, &parent, Options(s, /*futility=*/false));
+  OneShardJoin join(&child, &parent, Options(s, /*futility=*/false));
   ASSERT_TRUE(exec::CountAll(&join).ok());
   // The paper's machine switches to lap/rap on the shortfall and can
   // never leave: σ stays significant, the windows stay quiet.
@@ -91,7 +93,7 @@ TEST(FutilityRevertTest, ExtensionRevertsAndStaysExact) {
   const OrphanScenario s = MakeOrphanScenario(400, 1200, 0.3);
   exec::RelationScan child(&s.child);
   exec::RelationScan parent(&s.parent);
-  AdaptiveJoin join(&child, &parent, Options(s, /*futility=*/true));
+  OneShardJoin join(&child, &parent, Options(s, /*futility=*/true));
   ASSERT_TRUE(exec::CountAll(&join).ok());
   EXPECT_EQ(join.state(), ProcessorState::kLexRex);
   // The trace shows at least one futility revert...
@@ -115,7 +117,7 @@ TEST(FutilityRevertTest, SameResultCheaperExecution) {
   for (int variant = 0; variant < 2; ++variant) {
     exec::RelationScan child(&s.child);
     exec::RelationScan parent(&s.parent);
-    AdaptiveJoin join(&child, &parent, Options(s, variant == 1));
+    OneShardJoin join(&child, &parent, Options(s, variant == 1));
     auto count = exec::CountAll(&join);
     ASSERT_TRUE(count.ok());
     results[variant] = *count;
@@ -166,7 +168,7 @@ TEST(FutilityRevertTest, StillReactsToGenuineVariantsLater) {
   s.child = std::move(child);
   exec::RelationScan child_scan(&s.child);
   exec::RelationScan parent_scan(&s.parent);
-  AdaptiveJoin join(&child_scan, &parent_scan, Options(s, true));
+  OneShardJoin join(&child_scan, &parent_scan, Options(s, true));
   ASSERT_TRUE(exec::CountAll(&join).ok());
 
   // The run both conceded (futility) and later re-engaged (approx
@@ -176,7 +178,7 @@ TEST(FutilityRevertTest, StillReactsToGenuineVariantsLater) {
     saw_futility |= r.phi == Decision::kFutilityRevert;
   }
   EXPECT_TRUE(saw_futility);
-  EXPECT_GT(join.core().approximate_pairs(), variants_injected / 4);
+  EXPECT_GT(join.approximate_pairs(), variants_injected / 4);
 }
 
 }  // namespace

@@ -5,13 +5,14 @@
 
 #include <gtest/gtest.h>
 
-#include "adaptive/adaptive_join.h"
 #include "exec/scan.h"
+#include "testing/engine.h"
 
 namespace aqp {
 namespace adaptive {
 namespace {
 
+using engine_test::OneShardJoin;
 using storage::Relation;
 using storage::Schema;
 using storage::Tuple;
@@ -44,13 +45,13 @@ TEST(HybridStatesTest, LapRexMatchesLeftVariantsOnly) {
   const Relation right = Strings({"SANTA CRISTINx VALGARDENA DI SOPRA TERME", "PADDING ROW TWO Y"});
   exec::RelationScan ls(&left);
   exec::RelationScan rs(&right);
-  AdaptiveJoin join(&ls, &rs, Scripted({{0, ProcessorState::kLapRex}}));
+  OneShardJoin join(&ls, &rs, Scripted({{0, ProcessorState::kLapRex}}));
   auto count = exec::CountAll(&join);
   ASSERT_TRUE(count.ok());
   // left[1] ("...CRISTINA...") read at step 3 probes right's q-gram
   // index, which then holds right[0] ("...CRISTINx...") — approx match.
   EXPECT_EQ(*count, 1u);
-  EXPECT_EQ(join.core().approximate_pairs(), 1u);
+  EXPECT_EQ(join.approximate_pairs(), 1u);
   EXPECT_EQ(join.state(), ProcessorState::kLapRex);
 }
 
@@ -61,7 +62,7 @@ TEST(HybridStatesTest, LapRexMissesRightVariants) {
   const Relation right = Strings({"PADDING ROW TWO Y", "SANTA CRISTINx VALGARDENA DI SOPRA TERME"});
   exec::RelationScan ls(&left);
   exec::RelationScan rs(&right);
-  AdaptiveJoin join(&ls, &rs, Scripted({{0, ProcessorState::kLapRex}}));
+  OneShardJoin join(&ls, &rs, Scripted({{0, ProcessorState::kLapRex}}));
   auto count = exec::CountAll(&join);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 0u);
@@ -75,7 +76,7 @@ TEST(HybridStatesTest, LexRapIsTheMirrorImage) {
     const Relation right = Strings({"PADDING ROW TWO Y", "SANTA CRISTINx VALGARDENA DI SOPRA TERME"});
     exec::RelationScan ls(&left);
     exec::RelationScan rs(&right);
-    AdaptiveJoin join(&ls, &rs, Scripted({{0, ProcessorState::kLexRap}}));
+    OneShardJoin join(&ls, &rs, Scripted({{0, ProcessorState::kLexRap}}));
     auto count = exec::CountAll(&join);
     ASSERT_TRUE(count.ok());
     EXPECT_EQ(*count, 1u) << "right-read variant must match in lex/rap";
@@ -85,7 +86,7 @@ TEST(HybridStatesTest, LexRapIsTheMirrorImage) {
     const Relation right = Strings({"SANTA CRISTINx VALGARDENA DI SOPRA TERME", "PADDING ROW TWO Y"});
     exec::RelationScan ls(&left);
     exec::RelationScan rs(&right);
-    AdaptiveJoin join(&ls, &rs, Scripted({{0, ProcessorState::kLexRap}}));
+    OneShardJoin join(&ls, &rs, Scripted({{0, ProcessorState::kLexRap}}));
     auto count = exec::CountAll(&join);
     ASSERT_TRUE(count.ok());
     EXPECT_EQ(*count, 0u) << "left-read variant must miss in lex/rap";
@@ -99,11 +100,11 @@ TEST(HybridStatesTest, ExactPairsFoundInEveryState) {
     const Relation right = Strings({"OTHER B", "IDENTICAL KEY VALUE ONE"});
     exec::RelationScan ls(&left);
     exec::RelationScan rs(&right);
-    AdaptiveJoin join(&ls, &rs, Scripted({{0, state}}));
+    OneShardJoin join(&ls, &rs, Scripted({{0, state}}));
     auto count = exec::CountAll(&join);
     ASSERT_TRUE(count.ok());
     EXPECT_EQ(*count, 1u) << ProcessorStateName(state);
-    EXPECT_EQ(join.core().exact_pairs(), 1u) << ProcessorStateName(state);
+    EXPECT_EQ(join.exact_pairs(), 1u) << ProcessorStateName(state);
   }
 }
 
@@ -126,7 +127,7 @@ TEST(HybridStatesTest, MidRunScriptSwitchesChangeBehaviour) {
   exec::RelationScan ls(&left);
   exec::RelationScan rs(&right);
   // Switch to all-approximate at step 10 (after 5 left + 5 right reads).
-  AdaptiveJoin join(&ls, &rs, Scripted({{10, ProcessorState::kLapRap}}));
+  OneShardJoin join(&ls, &rs, Scripted({{10, ProcessorState::kLapRap}}));
   auto count = exec::CountAll(&join);
   ASSERT_TRUE(count.ok());
   // Left rows 0..4 probed exactly (missed); 5..9 probed approximately
@@ -136,7 +137,8 @@ TEST(HybridStatesTest, MidRunScriptSwitchesChangeBehaviour) {
   // alternation parent i arrives right after child i, so exactly the
   // post-switch pairs match:
   EXPECT_EQ(*count, 5u);
-  EXPECT_EQ(join.core().catchup_tuples(), 10u);  // both sides caught up
+  // Both sides caught up.
+  EXPECT_EQ(join.shard(0).core().catchup_tuples(), 10u);
 }
 
 }  // namespace

@@ -1,22 +1,23 @@
-// The vectorized operator protocol: NextBatch contracts on sources, the
-// default Next()-adapter, the batched drains, and batch-boundary
-// quiescence of the symmetric join.
+// The batch protocol (NextColumnBatch): its contracts on sources, the
+// default Next()-adapter, the batched drains, and control-point
+// quiescence of the join engine.
 
 #include <gtest/gtest.h>
 
+#include "exec/parallel/parallel_join.h"
 #include "exec/scan.h"
 #include "exec/sink.h"
 #include "exec/stream.h"
-#include "join/shjoin.h"
+#include "testing/engine.h"
 
 namespace aqp {
 namespace exec {
 namespace {
 
+using storage::ColumnBatch;
 using storage::Relation;
 using storage::Schema;
 using storage::Tuple;
-using storage::TupleBatch;
 using storage::Value;
 using storage::ValueType;
 
@@ -43,13 +44,15 @@ TEST(NextBatchTest, RelationScanFillsWholeBatches) {
   const Relation r = Ints(10);
   RelationScan scan(&r);
   ASSERT_TRUE(scan.Open().ok());
-  TupleBatch batch(&r.schema(), 4);
+  ColumnBatch batch(&r.schema(), 4);
   std::vector<int64_t> seen;
   while (true) {
-    ASSERT_TRUE(scan.NextBatch(&batch).ok());
+    ASSERT_TRUE(scan.NextColumnBatch(&batch).ok());
     if (batch.empty()) break;
     EXPECT_LE(batch.size(), 4u);
-    for (const Tuple& t : batch) seen.push_back(t.at(0).AsInt64());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      seen.push_back(batch.Int64At(0, i));
+    }
   }
   ASSERT_EQ(seen.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(seen[i], i);
@@ -63,12 +66,14 @@ TEST(NextBatchTest, MatchesNextOrderExactly) {
   RelationScan b(&r);
   ASSERT_TRUE(a.Open().ok());
   ASSERT_TRUE(b.Open().ok());
-  TupleBatch batch(&r.schema(), 3);
+  ColumnBatch batch(&r.schema(), 3);
   std::vector<Tuple> from_batches;
   while (true) {
-    ASSERT_TRUE(a.NextBatch(&batch).ok());
+    ASSERT_TRUE(a.NextColumnBatch(&batch).ok());
     if (batch.empty()) break;
-    for (Tuple& t : batch) from_batches.push_back(std::move(t));
+    for (size_t i = 0; i < batch.size(); ++i) {
+      from_batches.push_back(batch.MaterializeRow(i));
+    }
   }
   for (const Tuple& expected : from_batches) {
     auto next = b.Next();
@@ -82,8 +87,8 @@ TEST(NextBatchTest, MatchesNextOrderExactly) {
 TEST(NextBatchTest, NotOpenFails) {
   const Relation r = Ints(3);
   RelationScan scan(&r);
-  TupleBatch batch(&r.schema(), 4);
-  EXPECT_TRUE(scan.NextBatch(&batch).IsFailedPrecondition());
+  ColumnBatch batch(&r.schema(), 4);
+  EXPECT_TRUE(scan.NextColumnBatch(&batch).IsFailedPrecondition());
 }
 
 /// Operator relying on the base-class Next() adapter.
@@ -107,16 +112,16 @@ class CountdownOperator : public Operator {
 TEST(NextBatchTest, DefaultAdapterLoopsNext) {
   CountdownOperator op(5);
   ASSERT_TRUE(op.Open().ok());
-  TupleBatch batch(&op.output_schema(), 2);
-  ASSERT_TRUE(op.NextBatch(&batch).ok());
+  ColumnBatch batch(&op.output_schema(), 2);
+  ASSERT_TRUE(op.NextColumnBatch(&batch).ok());
   ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].at(0).AsInt64(), 5);
-  EXPECT_EQ(batch[1].at(0).AsInt64(), 4);
-  ASSERT_TRUE(op.NextBatch(&batch).ok());
+  EXPECT_EQ(batch.Int64At(0, 0), 5);
+  EXPECT_EQ(batch.Int64At(0, 1), 4);
+  ASSERT_TRUE(op.NextColumnBatch(&batch).ok());
   EXPECT_EQ(batch.size(), 2u);
-  ASSERT_TRUE(op.NextBatch(&batch).ok());
+  ASSERT_TRUE(op.NextColumnBatch(&batch).ok());
   EXPECT_EQ(batch.size(), 1u);
-  ASSERT_TRUE(op.NextBatch(&batch).ok());
+  ASSERT_TRUE(op.NextColumnBatch(&batch).ok());
   EXPECT_TRUE(batch.empty());
 }
 
@@ -142,8 +147,8 @@ class FailingOperator : public Operator {
 TEST(NextBatchTest, DefaultAdapterPropagatesMidBatchError) {
   FailingOperator op(3);
   ASSERT_TRUE(op.Open().ok());
-  TupleBatch batch(&op.output_schema(), 8);
-  Status s = op.NextBatch(&batch);
+  ColumnBatch batch(&op.output_schema(), 8);
+  Status s = op.NextColumnBatch(&batch);
   EXPECT_TRUE(s.IsInternal());
   // The partial batch is discarded, exactly like a failing Next().
   EXPECT_TRUE(batch.empty());
@@ -154,16 +159,16 @@ TEST(NextBatchTest, PushSourceDrainsQueueAndReportsBlocked) {
   ASSERT_TRUE(src.Open().ok());
   ASSERT_TRUE(src.Push(Tuple{Value("a")}).ok());
   ASSERT_TRUE(src.Push(Tuple{Value("b")}).ok());
-  TupleBatch batch(&src.output_schema(), 8);
-  ASSERT_TRUE(src.NextBatch(&batch).ok());
+  ColumnBatch batch(&src.output_schema(), 8);
+  ASSERT_TRUE(src.NextColumnBatch(&batch).ok());
   EXPECT_EQ(batch.size(), 2u);
   EXPECT_FALSE(src.blocked());
   // Live stream, no tuples yet: empty batch + blocked.
-  ASSERT_TRUE(src.NextBatch(&batch).ok());
+  ASSERT_TRUE(src.NextColumnBatch(&batch).ok());
   EXPECT_TRUE(batch.empty());
   EXPECT_TRUE(src.blocked());
   ASSERT_TRUE(src.Finish().ok());
-  ASSERT_TRUE(src.NextBatch(&batch).ok());
+  ASSERT_TRUE(src.NextColumnBatch(&batch).ok());
   EXPECT_TRUE(batch.empty());
   EXPECT_FALSE(src.blocked());
 }
@@ -175,12 +180,12 @@ TEST(NextBatchTest, GeneratorSourceHonorsCapacity) {
     return Tuple{Value(produced++)};
   });
   ASSERT_TRUE(src.Open().ok());
-  TupleBatch batch(&src.output_schema(), 3);
-  ASSERT_TRUE(src.NextBatch(&batch).ok());
+  ColumnBatch batch(&src.output_schema(), 3);
+  ASSERT_TRUE(src.NextColumnBatch(&batch).ok());
   EXPECT_EQ(batch.size(), 3u);
-  ASSERT_TRUE(src.NextBatch(&batch).ok());
+  ASSERT_TRUE(src.NextColumnBatch(&batch).ok());
   EXPECT_EQ(batch.size(), 2u);
-  ASSERT_TRUE(src.NextBatch(&batch).ok());
+  ASSERT_TRUE(src.NextColumnBatch(&batch).ok());
   EXPECT_TRUE(batch.empty());
 }
 
@@ -228,64 +233,44 @@ TEST(BatchedDrainTest, DrainLimitAndEarlyStopUnaffectedByBatching) {
   EXPECT_EQ(visited2, 5u);
 }
 
-/// Join subclass recording when the engine declares quiescent points
-/// and how it clamps step batches.
-class ProbingJoin : public join::SymmetricJoin {
- public:
-  ProbingJoin(Operator* left, Operator* right,
-              join::SymmetricJoinOptions options, uint64_t control_every)
-      : SymmetricJoin(left, right, std::move(options),
-                      join::ProbeMode::kExact, join::ProbeMode::kExact,
-                      "ProbingJoin"),
-        control_every_(control_every) {}
-
-  size_t quiescent_calls = 0;
-  size_t non_quiescent_calls = 0;
-  std::vector<size_t> batch_step_counts;
-
- protected:
-  Status OnQuiescentPoint() override {
-    ++quiescent_calls;
-    // Batch boundaries are quiescent by construction: no produced-but-
-    // undelivered output may be pending when adaptation could fire...
-    if (!quiescent()) ++non_quiescent_calls;
-    return Status::OK();
-  }
-  uint64_t StepsUntilControlPoint() const override {
-    if (control_every_ == 0) return kNoControlPoint;
-    const uint64_t next = ((steps() / control_every_) + 1) * control_every_;
-    return next - steps();
-  }
-  void OnBatchCompleted(const join::StepBatchStats& batch) override {
-    batch_step_counts.push_back(batch.steps.size());
-  }
-
- private:
-  uint64_t control_every_;
-};
-
 TEST(BatchQuiescenceTest, BoundariesAreQuiescentAndClampedToControlPoints) {
   const Relation left = Strings({"A", "B", "C", "D", "E", "F", "G", "H"});
   const Relation right = Strings({"A", "B", "C", "D", "E", "F", "G", "H"});
   RelationScan ls(&left);
   RelationScan rs(&right);
-  join::SymmetricJoinOptions options;
-  options.batch_size = 64;  // larger than the clamp: the clamp must win
-  ProbingJoin join(&ls, &rs, options, /*control_every=*/3);
+  adaptive::AdaptiveJoinOptions base;
+  base.join.batch_size = 64;  // larger than the clamp: the clamp must win
+  base.adaptive.delta_adapt = 3;
+  base.adaptive.parent_table_size = right.size();
+  parallel::ParallelJoinOptions options = engine_test::OnShards(base);
+  // The governor runs at every epoch control point; record where each
+  // one lands and whether the engine was quiescent there.
+  parallel::ParallelAdaptiveJoin* self = nullptr;
+  std::vector<uint64_t> control_steps;
+  size_t non_quiescent_calls = 0;
+  options.governor = [&](const parallel::EpochView& view) {
+    control_steps.push_back(view.steps);
+    // Control points are quiescent by construction: no produced-but-
+    // undelivered output may be pending when adaptation could fire...
+    if (!self->quiescent()) ++non_quiescent_calls;
+    return parallel::EpochDirective::kProceed;
+  };
+  parallel::ParallelAdaptiveJoin join(&ls, &rs, options);
+  self = &join;
   auto collected = CollectAll(&join);
   ASSERT_TRUE(collected.ok());
   EXPECT_EQ(collected->size(), 8u);  // equi-join pairs
   EXPECT_EQ(join.steps(), 16u);
-  // Every quiescent-point callback found the operator quiescent.
-  EXPECT_GT(join.quiescent_calls, 0u);
-  EXPECT_EQ(join.non_quiescent_calls, 0u);
-  // No step batch ran past the declared control boundary.
-  size_t total_steps = 0;
-  for (size_t n : join.batch_step_counts) {
-    EXPECT_LE(n, 3u);
-    total_steps += n;
+  // Every control point found the operator quiescent.
+  EXPECT_GT(control_steps.size(), 0u);
+  EXPECT_EQ(non_quiescent_calls, 0u);
+  // No epoch ran past the declared control boundary.
+  uint64_t previous = 0;
+  for (uint64_t at : control_steps) {
+    EXPECT_LE(at - previous, 3u);
+    previous = at;
   }
-  EXPECT_EQ(total_steps, 16u);
+  EXPECT_EQ(previous, 16u);
   EXPECT_TRUE(join.quiescent());
 }
 
@@ -296,7 +281,7 @@ TEST(BatchQuiescenceTest, TupleAndBatchDrivesProduceIdenticalResults) {
   // Tuple-at-a-time via Next().
   RelationScan l1(&left);
   RelationScan r1(&right);
-  join::SHJoin j1(&l1, &r1, join::SymmetricJoinOptions{});
+  engine_test::ExactJoin j1(&l1, &r1, join::SymmetricJoinOptions{});
   ASSERT_TRUE(j1.Open().ok());
   std::vector<Tuple> tuple_wise;
   while (true) {
@@ -306,17 +291,20 @@ TEST(BatchQuiescenceTest, TupleAndBatchDrivesProduceIdenticalResults) {
     tuple_wise.push_back(std::move(**next));
   }
   ASSERT_TRUE(j1.Close().ok());
-  // Batched via NextBatch with a small capacity to force spills.
+  // Batched via NextColumnBatch with a small capacity, so one step's
+  // matches span several batches.
   RelationScan l2(&left);
   RelationScan r2(&right);
-  join::SHJoin j2(&l2, &r2, join::SymmetricJoinOptions{});
+  engine_test::ExactJoin j2(&l2, &r2, join::SymmetricJoinOptions{});
   ASSERT_TRUE(j2.Open().ok());
   std::vector<Tuple> batch_wise;
-  TupleBatch batch(nullptr, 2);
+  ColumnBatch batch(nullptr, 2);
   while (true) {
-    ASSERT_TRUE(j2.NextBatch(&batch).ok());
+    ASSERT_TRUE(j2.NextColumnBatch(&batch).ok());
     if (batch.empty()) break;
-    for (Tuple& t : batch) batch_wise.push_back(std::move(t));
+    for (size_t i = 0; i < batch.size(); ++i) {
+      batch_wise.push_back(batch.MaterializeRow(i));
+    }
   }
   ASSERT_TRUE(j2.Close().ok());
   ASSERT_EQ(tuple_wise.size(), batch_wise.size());

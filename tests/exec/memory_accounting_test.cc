@@ -1,8 +1,8 @@
 // Engine-side memory accounting: the ApproximateMemoryUsage() figures
 // of the holders the budget tree charges (exchange input batches,
-// shard committed/staged tiers, prefetch chunk deque), the parallel
-// join's aggregation of them into memory_bytes()/peak_memory_bytes()
-// (the fix for parallel-runs-report-no-memory), the budget-tree wiring
+// shard committed/staged tiers), the join's aggregation of them into
+// memory_bytes()/peak_memory_bytes() and into RunStats, the budget-tree
+// wiring
 // at epoch control points, and byte-identical results with accounting
 // on vs off.
 
@@ -17,7 +17,6 @@
 #include "exec/parallel/exchange.h"
 #include "exec/parallel/parallel_join.h"
 #include "exec/parallel/shard.h"
-#include "exec/prefetch.h"
 #include "exec/scan.h"
 #include "exec/stream.h"
 #include "metrics/run_stats.h"
@@ -97,24 +96,10 @@ TEST(MemoryAccountingTest, ExchangeAndShardsReportRoutedBytes) {
   ASSERT_TRUE(parent.Close().ok());
 }
 
-TEST(MemoryAccountingTest, PrefetchSourceReportsChunkDeque) {
-  const datagen::TestCase tc = SmallCase();
-  exec::RelationScan scan(&tc.child);
-  exec::PrefetchSource prefetch(&scan);
-  ASSERT_TRUE(prefetch.Open().ok());
-  // Give the producer a beat to fill the deque, then consume one row so
-  // the consumer-side serving batch exists too.
-  auto row = prefetch.Next();
-  ASSERT_TRUE(row.ok());
-  ASSERT_TRUE(row->has_value());
-  EXPECT_GT(prefetch.ApproximateMemoryUsage(), 0u);
-  ASSERT_TRUE(prefetch.Close().ok());
-}
-
 TEST(MemoryAccountingTest, ParallelJoinAggregatesShardMemory) {
-  // The satellite bugfix: a parallel run must report its real
-  // aggregated footprint, not the zero the single-core RunStats path
-  // produced. No budget configured — the end-of-run snapshot alone.
+  // A run must report its real footprint aggregated over every shard,
+  // not one shard's slice. No budget configured — the end-of-run
+  // snapshot alone.
   const datagen::TestCase tc = SmallCase();
   exec::RelationScan child(&tc.child);
   exec::RelationScan parent(&tc.parent);
@@ -131,8 +116,7 @@ TEST(MemoryAccountingTest, ParallelJoinAggregatesShardMemory) {
   // stay alive until destruction).
   EXPECT_GT(join.ApproximateMemoryUsage(), total_rows * 8);
 
-  metrics::RunStats stats;
-  metrics::AddMemoryStats(join, &stats);
+  const metrics::RunStats stats = metrics::SummarizeRun(join, "run", 0.0);
   EXPECT_EQ(stats.memory_bytes, join.memory_bytes());
   EXPECT_EQ(stats.peak_memory_bytes, join.peak_memory_bytes());
 }

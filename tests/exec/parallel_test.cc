@@ -14,8 +14,7 @@
 #include "exec/parallel/shard.h"
 #include "exec/parallel/thread_pool.h"
 #include "exec/scan.h"
-#include "join/shjoin.h"
-#include "join/sshjoin.h"
+#include "testing/engine.h"
 
 namespace aqp {
 namespace exec {
@@ -278,7 +277,8 @@ TEST(ParallelJoinTest, PinnedExactCountsMatchSHJoin) {
   exec::RelationScan parent(&tc.parent);
   join::SymmetricJoinOptions jo;
   jo.spec = Spec();
-  join::SHJoin reference(&child, &parent, jo);
+  // The one-shard run is the reference.
+  engine_test::ExactJoin reference(&child, &parent, jo);
   auto expected = exec::CountAll(&reference);
   ASSERT_TRUE(expected.ok());
 
@@ -303,7 +303,8 @@ TEST(ParallelJoinTest, PinnedApproximateCountsMatchSSHJoin) {
   exec::RelationScan parent(&tc.parent);
   join::SymmetricJoinOptions jo;
   jo.spec = Spec();
-  join::SSHJoin reference(&child, &parent, jo);
+  // The one-shard run is the reference.
+  engine_test::ApproxJoin reference(&child, &parent, jo);
   auto expected = exec::CountAll(&reference);
   ASSERT_TRUE(expected.ok());
 

@@ -1,246 +1,169 @@
 // Batched and tuple-at-a-time execution must be indistinguishable in
 // everything but speed: identical join output (same rows, same order)
 // and an identical MAR adaptation trace on the paper scenario, for any
-// batch size. The engine guarantees this by rounding step-batch edges
-// to the control loop's δ_adapt boundaries.
+// child batch size and drain batch size — each run matching the
+// recorded reference digest. The engine guarantees this by cutting
+// epochs at the control loop's δ_adapt boundaries, independent of how
+// input arrives.
 
 #include <gtest/gtest.h>
 
-#include "adaptive/adaptive_join.h"
+#include <vector>
+
 #include "datagen/generator.h"
+#include "exec/parallel/parallel_join.h"
 #include "exec/scan.h"
-#include "join/match_batch.h"
 #include "metrics/experiment.h"
+#include "reference_runs.h"
 
 namespace aqp {
 namespace {
 
-using adaptive::AdaptiveJoin;
-using adaptive::AdaptiveJoinOptions;
+using engine_test::OnShards;
+using exec::parallel::ParallelAdaptiveJoin;
+using exec::parallel::ParallelJoinOptions;
+using exec::parallel::ParallelMatchRef;
+using parity::EngineRun;
+using parity::ExpectRecorded;
+using parity::ExpectSameRun;
 
-struct ParityRun {
-  storage::Relation result;
-  adaptive::AdaptationTrace trace;
-  uint64_t steps = 0;
-  uint64_t total_transitions = 0;
-  uint64_t monitor_steps = 0;
-  uint64_t pairs_emitted = 0;
-};
-
-datagen::TestCase PaperCase() {
-  datagen::TestCaseOptions options;
-  options.pattern = datagen::PerturbationPattern::kFewHighIntensityRegions;
-  options.perturb_parent = false;
-  options.variant_rate = 0.10;
-  options.atlas.size = 400;
-  options.accidents.size = 800;
-  options.seed = 20090326;
-  auto tc = datagen::GenerateTestCase(options);
-  EXPECT_TRUE(tc.ok());
-  return std::move(*tc);
-}
-
-ParityRun RunParity(const datagen::TestCase& tc, size_t join_batch_size,
-              size_t drain_batch_size) {
-  exec::RelationScan child(&tc.child);
-  exec::RelationScan parent(&tc.parent);
-  AdaptiveJoinOptions options;
-  options.join.spec.left_column = datagen::kAccidentsLocationColumn;
-  options.join.spec.right_column = datagen::kAtlasLocationColumn;
-  options.join.spec.sim_threshold = 0.85;
-  options.join.batch_size = join_batch_size;
-  options.adaptive.parent_side = exec::Side::kRight;
-  options.adaptive.parent_table_size = tc.parent.size();
-  options.adaptive.delta_adapt = 50;
-  options.adaptive.window = 50;
-  AdaptiveJoin join(&child, &parent, options);
-  exec::ExecOptions drain;
-  drain.batch_size = drain_batch_size;
-  auto result = exec::CollectAll(&join, drain);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  ParityRun run;
-  run.result = std::move(*result);
-  run.trace = join.trace();
-  run.steps = join.steps();
-  run.total_transitions = join.cost().total_transitions();
-  run.monitor_steps = join.monitor().steps();
-  run.pairs_emitted = join.core().pairs_emitted();
-  return run;
-}
-
-void ExpectIdentical(const ParityRun& a, const ParityRun& b) {
-  EXPECT_EQ(a.steps, b.steps);
-  EXPECT_EQ(a.monitor_steps, b.monitor_steps);
-  EXPECT_EQ(a.pairs_emitted, b.pairs_emitted);
-  EXPECT_EQ(a.total_transitions, b.total_transitions);
-
-  // Identical match sets — in fact identical sequences, byte for byte.
-  ASSERT_EQ(a.result.size(), b.result.size());
-  for (size_t i = 0; i < a.result.size(); ++i) {
-    ASSERT_EQ(a.result.row(i), b.result.row(i)) << "row " << i;
-  }
-
-  // Identical MAR timelines: every assessment, predicate, and
-  // transition at the same step with the same evidence.
-  ASSERT_EQ(a.trace.size(), b.trace.size());
-  for (size_t i = 0; i < a.trace.size(); ++i) {
-    EXPECT_EQ(a.trace.records()[i], b.trace.records()[i])
-        << "assessment " << i;
-  }
-}
-
-TEST(BatchParityTest, BatchSize1024MatchesTupleAtATime) {
-  const datagen::TestCase tc = PaperCase();
-  const ParityRun tuple_wise = RunParity(tc, 1, 1);
-  const ParityRun batched = RunParity(tc, 1024, 1024);
-  ASSERT_GT(tuple_wise.result.size(), 0u);
-  ASSERT_GT(tuple_wise.trace.size(), 0u);
-  // The scenario must actually adapt, or the parity claim is vacuous.
-  ASSERT_GT(tuple_wise.total_transitions, 0u);
-  ExpectIdentical(tuple_wise, batched);
-}
-
-TEST(BatchParityTest, OddBatchSizesAgreeToo) {
-  const datagen::TestCase tc = PaperCase();
-  // 7 never divides δ_adapt = 50, so batch edges must be rounded to
-  // the control boundary mid-batch; 64 staggers against it differently.
-  const ParityRun a = RunParity(tc, 7, 33);
-  const ParityRun b = RunParity(tc, 64, 256);
-  ExpectIdentical(a, b);
-}
-
-TEST(BatchParityTest, ScriptedPolicyFiresAtSameStepsUnderBatching) {
-  const datagen::TestCase tc = PaperCase();
-  auto run_scripted = [&](size_t batch_size) {
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    AdaptiveJoinOptions options;
-    options.join.spec.left_column = datagen::kAccidentsLocationColumn;
-    options.join.spec.right_column = datagen::kAtlasLocationColumn;
-    options.join.batch_size = batch_size;
-    options.adaptive.policy = adaptive::AdaptivePolicy::kScripted;
-    options.adaptive.script = {
-        {120, adaptive::ProcessorState::kLapRex},
-        {300, adaptive::ProcessorState::kLapRap},
-        {700, adaptive::ProcessorState::kLexRex},
-    };
-    options.adaptive.parent_side = exec::Side::kRight;
-    options.adaptive.parent_table_size = tc.parent.size();
-    AdaptiveJoin join(&child, &parent, options);
-    auto result = exec::CollectAll(&join);
-    EXPECT_TRUE(result.ok());
-    return join.trace();
-  };
-  const adaptive::AdaptationTrace one = run_scripted(1);
-  const adaptive::AdaptationTrace big = run_scripted(512);
-  ASSERT_EQ(one.size(), 3u);
-  ASSERT_EQ(big.size(), one.size());
-  for (size_t i = 0; i < one.size(); ++i) {
-    EXPECT_EQ(one.records()[i], big.records()[i]) << "transition " << i;
-  }
-  EXPECT_EQ(one.records()[0].assessment.step, 120u);
-  EXPECT_EQ(one.records()[1].assessment.step, 300u);
-  EXPECT_EQ(one.records()[2].assessment.step, 700u);
-}
-
-AdaptiveJoinOptions ParityOptions(const datagen::TestCase& tc,
+ParallelJoinOptions ParityOptions(const datagen::TestCase& tc,
                                   size_t join_batch_size) {
-  AdaptiveJoinOptions options;
-  options.join.spec.left_column = datagen::kAccidentsLocationColumn;
-  options.join.spec.right_column = datagen::kAtlasLocationColumn;
-  options.join.spec.sim_threshold = 0.85;
-  options.join.batch_size = join_batch_size;
-  options.adaptive.parent_side = exec::Side::kRight;
-  options.adaptive.parent_table_size = tc.parent.size();
-  options.adaptive.delta_adapt = 50;
-  options.adaptive.window = 50;
+  ParallelJoinOptions options = OnShards(parity::AdaptiveOptions(tc), 1);
+  options.base.join.batch_size = join_batch_size;
   return options;
 }
 
-TEST(BatchParityTest, LateMaterializedPathsMatchRowProtocol) {
-  // The three drive modes of the late-materialized engine — row
-  // batches (NextBatch adapter), native match batches materialized at
-  // the sink, and the unmaterialized counting drain — must be
-  // indistinguishable: byte-identical rows where rows exist, identical
-  // row counts, and identical adaptation traces.
-  const datagen::TestCase tc = PaperCase();
-  const ParityRun rows = RunParity(tc, 64, 256);
-  ASSERT_GT(rows.result.size(), 0u);
-  ASSERT_GT(rows.total_transitions, 0u);
+EngineRun RunParity(const datagen::TestCase& tc, size_t join_batch_size,
+                    size_t drain_batch_size) {
+  exec::ExecOptions drain;
+  drain.batch_size = drain_batch_size;
+  return parity::RunEngine(tc, ParityOptions(tc, join_batch_size), drain);
+}
 
-  // Native protocol: pull MatchRef batches, concatenate at the sink.
+TEST(BatchParityTest, BatchSize1024MatchesTupleAtATime) {
+  const datagen::TestCase tc = parity::PaperCase();
+  const EngineRun tuple_wise = RunParity(tc, 1, 1);
+  const EngineRun batched = RunParity(tc, 1024, 1024);
+  ASSERT_GT(tuple_wise.rows.size(), 0u);
+  ASSERT_GT(tuple_wise.trace.size(), 0u);
+  // The scenario must actually adapt, or the parity claim is vacuous.
+  ASSERT_GT(tuple_wise.transitions, 0u);
+  ExpectRecorded("paper/adaptive", tuple_wise);
+  ExpectRecorded("paper/adaptive", batched);
+  ExpectSameRun(tuple_wise, batched);
+}
+
+TEST(BatchParityTest, OddBatchSizesAgreeToo) {
+  const datagen::TestCase tc = parity::PaperCase();
+  // 7 never divides δ_adapt = 50, so refill edges straddle control
+  // boundaries; 64 staggers against it differently.
+  const EngineRun a = RunParity(tc, 7, 33);
+  const EngineRun b = RunParity(tc, 64, 256);
+  ExpectRecorded("paper/adaptive", a);
+  ExpectRecorded("paper/adaptive", b);
+  ExpectSameRun(a, b);
+}
+
+TEST(BatchParityTest, ScriptedPolicyFiresAtSameStepsUnderBatching) {
+  const datagen::TestCase tc = parity::PaperCase();
+  auto run_scripted = [&](size_t batch_size) {
+    ParallelJoinOptions options =
+        OnShards(parity::ScriptedDefaultOptions(tc), 1);
+    options.base.join.batch_size = batch_size;
+    return parity::RunEngine(tc, options);
+  };
+  const EngineRun one = run_scripted(1);
+  const EngineRun big = run_scripted(512);
+  ExpectRecorded("paper/scripted_default", one);
+  ExpectRecorded("paper/scripted_default", big);
+  ASSERT_EQ(one.trace.size(), 3u);
+  ASSERT_EQ(big.trace.size(), one.trace.size());
+  for (size_t i = 0; i < one.trace.size(); ++i) {
+    EXPECT_EQ(one.trace.records()[i], big.trace.records()[i])
+        << "transition " << i;
+  }
+  EXPECT_EQ(one.trace.records()[0].assessment.step, 120u);
+  EXPECT_EQ(one.trace.records()[1].assessment.step, 300u);
+  EXPECT_EQ(one.trace.records()[2].assessment.step, 700u);
+}
+
+TEST(BatchParityTest, LateMaterializedPathsMatchRowProtocol) {
+  // The drive modes of the late-materialized engine — columnar batches,
+  // native match refs materialized at the sink, and the unmaterialized
+  // counting drain — must be indistinguishable: byte-identical rows
+  // where rows exist, identical row counts, and identical adaptation
+  // traces.
+  const datagen::TestCase tc = parity::PaperCase();
+  const EngineRun rows = RunParity(tc, 64, 256);
+  ASSERT_GT(rows.rows.size(), 0u);
+  ASSERT_GT(rows.transitions, 0u);
+  ExpectRecorded("paper/adaptive", rows);
+
+  // Native protocol: pull match refs, concatenate at the sink.
   exec::RelationScan child(&tc.child);
   exec::RelationScan parent(&tc.parent);
-  AdaptiveJoin match_join(&child, &parent, ParityOptions(tc, 64));
+  ParallelAdaptiveJoin match_join(&child, &parent, ParityOptions(tc, 64));
   ASSERT_TRUE(match_join.Open().ok());
   storage::Relation collected(match_join.output_schema());
-  join::MatchBatch refs(256);
+  std::vector<ParallelMatchRef> refs;
   while (true) {
-    ASSERT_TRUE(match_join.NextMatchBatch(&refs).ok());
+    ASSERT_TRUE(match_join.NextMatchRefs(256, &refs).ok());
     if (refs.empty()) break;
-    storage::TupleBatch batch(&match_join.output_schema(), refs.size());
-    match_join.MaterializeInto(refs, &batch);
-    collected.AppendBatchUnchecked(&batch);
+    for (const ParallelMatchRef& ref : refs) {
+      collected.AppendUnchecked(match_join.MaterializeRow(ref));
+    }
   }
   ASSERT_TRUE(match_join.Close().ok());
-  ASSERT_EQ(collected.size(), rows.result.size());
-  for (size_t i = 0; i < collected.size(); ++i) {
-    ASSERT_EQ(collected.row(i), rows.result.row(i)) << "row " << i;
-  }
-  ASSERT_EQ(match_join.trace().size(), rows.trace.size());
-  for (size_t i = 0; i < rows.trace.size(); ++i) {
-    EXPECT_EQ(match_join.trace().records()[i], rows.trace.records()[i])
-        << "assessment " << i;
-  }
+  EngineRun matched = parity::Observe(match_join);
+  matched.rows = std::move(collected);
+  ExpectSameRun(matched, rows);
 
   // Counting drain: CountAll takes the UnmaterializedCounter fast
   // path — no row is ever built, everything else is identical.
   exec::RelationScan child2(&tc.child);
   exec::RelationScan parent2(&tc.parent);
-  AdaptiveJoin count_join(&child2, &parent2, ParityOptions(tc, 64));
+  ParallelAdaptiveJoin count_join(&child2, &parent2, ParityOptions(tc, 64));
   exec::ExecOptions drain;
   drain.batch_size = 256;
   auto count = exec::CountAll(&count_join, drain);
   ASSERT_TRUE(count.ok()) << count.status().ToString();
-  EXPECT_EQ(*count, rows.result.size());
-  ASSERT_EQ(count_join.trace().size(), rows.trace.size());
-  for (size_t i = 0; i < rows.trace.size(); ++i) {
-    EXPECT_EQ(count_join.trace().records()[i], rows.trace.records()[i])
-        << "assessment " << i;
-  }
+  EXPECT_EQ(*count, rows.rows.size());
+  parity::ExpectSameTrace(count_join.trace(), rows.trace);
 }
 
 TEST(BatchParityTest, ColumnarProtocolMatchesRowAdapterAcrossBatchSizes) {
   // The native columnar protocol (NextColumnBatch, output columns
-  // written straight from the stores) and the row-protocol adapter
-  // (NextBatch) must be indistinguishable: byte-identical rows in
-  // identical order and identical adaptation traces, for every batch
-  // size — including sizes that stagger against δ_adapt.
-  const datagen::TestCase tc = PaperCase();
-  bool adapted = false;
+  // written straight from the stores) and the row protocol (Next())
+  // must be indistinguishable: byte-identical rows in identical order
+  // and identical adaptation traces, for every batch size — including
+  // sizes that stagger against δ_adapt.
+  const datagen::TestCase tc = parity::PaperCase();
   for (size_t batch_size : {size_t{1}, size_t{7}, size_t{64}, size_t{256}}) {
     SCOPED_TRACE(testing::Message() << "batch_size=" << batch_size);
 
-    // Row-protocol adapter drive.
+    // Row-protocol drive.
     exec::RelationScan row_child(&tc.child);
     exec::RelationScan row_parent(&tc.parent);
-    AdaptiveJoin row_join(&row_child, &row_parent,
-                          ParityOptions(tc, batch_size));
+    ParallelAdaptiveJoin row_join(&row_child, &row_parent,
+                                  ParityOptions(tc, batch_size));
     ASSERT_TRUE(row_join.Open().ok());
     storage::Relation row_rows(row_join.output_schema());
-    storage::TupleBatch row_batch(&row_join.output_schema(), batch_size);
     while (true) {
-      ASSERT_TRUE(row_join.NextBatch(&row_batch).ok());
-      if (row_batch.empty()) break;
-      row_rows.AppendBatchUnchecked(&row_batch);
+      auto next = row_join.Next();
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      if (!next->has_value()) break;
+      row_rows.AppendUnchecked(std::move(**next));
     }
     ASSERT_TRUE(row_join.Close().ok());
+    EngineRun by_row = parity::Observe(row_join);
+    by_row.rows = std::move(row_rows);
 
     // Native columnar drive.
     exec::RelationScan col_child(&tc.child);
     exec::RelationScan col_parent(&tc.parent);
-    AdaptiveJoin col_join(&col_child, &col_parent,
-                          ParityOptions(tc, batch_size));
+    ParallelAdaptiveJoin col_join(&col_child, &col_parent,
+                                  ParityOptions(tc, batch_size));
     ASSERT_TRUE(col_join.Open().ok());
     storage::Relation col_rows(col_join.output_schema());
     storage::ColumnBatch col_batch(&col_join.output_schema(), batch_size);
@@ -251,21 +174,15 @@ TEST(BatchParityTest, ColumnarProtocolMatchesRowAdapterAcrossBatchSizes) {
       col_rows.AppendColumnBatchUnchecked(col_batch);
     }
     ASSERT_TRUE(col_join.Close().ok());
+    EngineRun by_column = parity::Observe(col_join);
+    by_column.rows = std::move(col_rows);
 
-    ASSERT_GT(row_rows.size(), 0u);
-    ASSERT_EQ(col_rows.size(), row_rows.size());
-    for (size_t i = 0; i < row_rows.size(); ++i) {
-      ASSERT_EQ(col_rows.row(i), row_rows.row(i)) << "row " << i;
-    }
-    ASSERT_EQ(col_join.trace().size(), row_join.trace().size());
-    for (size_t i = 0; i < row_join.trace().size(); ++i) {
-      EXPECT_EQ(col_join.trace().records()[i], row_join.trace().records()[i])
-          << "assessment " << i;
-    }
-    adapted = adapted || row_join.cost().total_transitions() > 0;
+    // The scenario adapts (the recorded run has transitions), so the
+    // parity claim is not vacuous.
+    ExpectRecorded("paper/adaptive", by_row);
+    ExpectRecorded("paper/adaptive", by_column);
+    ExpectSameRun(by_column, by_row);
   }
-  // The scenario must actually adapt, or the parity claim is vacuous.
-  EXPECT_TRUE(adapted);
 }
 
 TEST(BatchParityTest, FullExperimentHarnessUnchangedByBatchedDrains) {

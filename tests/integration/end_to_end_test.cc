@@ -6,18 +6,18 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "adaptive/adaptive_join.h"
 #include "datagen/generator.h"
 #include "exec/scan.h"
 #include "exec/stream.h"
+#include "testing/engine.h"
 
 namespace aqp {
 namespace {
 
-using adaptive::AdaptiveJoin;
 using adaptive::AdaptiveJoinOptions;
 using datagen::TestCase;
 using datagen::TestCaseOptions;
+using engine_test::OneShardJoin;
 
 TestCase MakeCase() {
   TestCaseOptions options;
@@ -48,7 +48,7 @@ TEST(EndToEndTest, RecoveredPairsAreTrueMatches) {
   const TestCase tc = MakeCase();
   exec::RelationScan child(&tc.child);
   exec::RelationScan parent(&tc.parent);
-  AdaptiveJoin join(&child, &parent, Options(tc));
+  OneShardJoin join(&child, &parent, Options(tc));
   auto result = exec::CollectAll(&join);
   ASSERT_TRUE(result.ok());
 
@@ -96,13 +96,13 @@ TEST(EndToEndTest, GeneratorSourceStreamingPath) {
         if (parent_pos >= tc.parent.size()) return std::nullopt;
         return tc.parent.row(parent_pos++);
       });
-  AdaptiveJoin join(&child, &parent, Options(tc));
+  OneShardJoin join(&child, &parent, Options(tc));
   auto streamed = exec::CountAll(&join);
   ASSERT_TRUE(streamed.ok());
 
   exec::RelationScan child2(&tc.child);
   exec::RelationScan parent2(&tc.parent);
-  AdaptiveJoin join2(&child2, &parent2, Options(tc));
+  OneShardJoin join2(&child2, &parent2, Options(tc));
   auto scanned = exec::CountAll(&join2);
   ASSERT_TRUE(scanned.ok());
   // Identical feed order => identical behaviour, streaming or not.
@@ -114,7 +114,7 @@ TEST(EndToEndTest, EarlyTerminationDeliversPartialResult) {
   const TestCase tc = MakeCase();
   exec::RelationScan child(&tc.child);
   exec::RelationScan parent(&tc.parent);
-  AdaptiveJoin join(&child, &parent, Options(tc));
+  OneShardJoin join(&child, &parent, Options(tc));
   ASSERT_TRUE(join.Open().ok());
   size_t budget = 100;
   size_t received = 0;

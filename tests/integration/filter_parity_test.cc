@@ -2,169 +2,87 @@
 // lineage) must be invisible in everything but cost: for every filter
 // combination the adaptive join must produce byte-identical output
 // rows in identical order AND a byte-identical MAR adaptation trace,
-// across batch sizes and shard counts. The exactness arguments live in
-// join/filter.h; this suite is the end-to-end proof on the paper
-// scenario — which must actually adapt, or the parity claim is
-// vacuous.
+// across batch sizes and shard counts — matching both the unfiltered
+// run and the digests recorded for each filter combination. The
+// exactness arguments live in join/filter.h; this suite is the
+// end-to-end proof on the paper scenario — which must actually adapt,
+// or the parity claim is vacuous.
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
-
-#include "adaptive/adaptive_join.h"
 #include "datagen/generator.h"
 #include "exec/parallel/parallel_join.h"
 #include "exec/scan.h"
-#include "text/gram_order.h"
+#include "reference_runs.h"
 
 namespace aqp {
 namespace {
 
-using adaptive::AdaptiveJoin;
-using adaptive::AdaptiveJoinOptions;
-using exec::parallel::ParallelAdaptiveJoin;
+using engine_test::OnShards;
 using exec::parallel::ParallelJoinOptions;
+using parity::EngineRun;
+using parity::ExpectRecorded;
+using parity::ExpectSameRun;
 
-datagen::TestCase PaperCase() {
-  datagen::TestCaseOptions options;
-  options.pattern = datagen::PerturbationPattern::kFewHighIntensityRegions;
-  options.perturb_parent = false;
-  options.variant_rate = 0.10;
-  options.atlas.size = 400;
-  options.accidents.size = 800;
-  options.seed = 20090326;
-  auto tc = datagen::GenerateTestCase(options);
-  EXPECT_TRUE(tc.ok());
-  return std::move(*tc);
-}
-
-AdaptiveJoinOptions BaseOptions(const datagen::TestCase& tc,
-                                size_t batch_size = 64) {
-  AdaptiveJoinOptions options;
-  options.join.spec.left_column = datagen::kAccidentsLocationColumn;
-  options.join.spec.right_column = datagen::kAtlasLocationColumn;
-  options.join.spec.sim_threshold = 0.85;
-  options.join.batch_size = batch_size;
-  options.adaptive.parent_side = exec::Side::kRight;
-  options.adaptive.parent_table_size = tc.parent.size();
-  options.adaptive.delta_adapt = 50;
-  options.adaptive.window = 50;
+ParallelJoinOptions FilteredOptions(const datagen::TestCase& tc,
+                                    const join::ApproxFilterOptions& filter,
+                                    size_t shards = 1,
+                                    size_t batch_size = 64) {
+  ParallelJoinOptions options = OnShards(parity::AdaptiveOptions(tc), shards);
+  options.base.join.spec.filter = filter;
+  options.base.join.batch_size = batch_size;
   return options;
 }
 
-std::vector<join::ApproxFilterOptions> AllFilterCombinations() {
-  std::vector<join::ApproxFilterOptions> combos;
-  for (int mask = 0; mask < 8; ++mask) {
-    join::ApproxFilterOptions f;
-    f.length = (mask & 1) != 0;
-    f.prefix = (mask & 2) != 0;
-    f.positional = (mask & 4) != 0;
-    combos.push_back(f);
-  }
-  return combos;
-}
-
-struct ReferenceRun {
-  storage::Relation result;
-  adaptive::AdaptationTrace trace;
-  uint64_t steps = 0;
-  uint64_t pairs = 0;
-  uint64_t transitions = 0;
-};
-
-ReferenceRun RunAdaptive(const datagen::TestCase& tc,
-                         AdaptiveJoinOptions options) {
-  exec::RelationScan child(&tc.child);
-  exec::RelationScan parent(&tc.parent);
-  AdaptiveJoin join(&child, &parent, options);
-  auto result = exec::CollectAll(&join);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  ReferenceRun run;
-  run.result = std::move(*result);
-  run.trace = join.trace();
-  run.steps = join.steps();
-  run.pairs = join.core().pairs_emitted();
-  run.transitions = join.cost().total_transitions();
-  return run;
-}
-
-void ExpectSameRows(const storage::Relation& actual,
-                    const storage::Relation& expected) {
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(actual.row(i), expected.row(i)) << "row " << i;
-  }
-}
-
-void ExpectSameTrace(const adaptive::AdaptationTrace& actual,
-                     const adaptive::AdaptationTrace& expected) {
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(actual.records()[i], expected.records()[i])
-        << "assessment " << i;
-  }
-}
-
 TEST(FilterParityTest, EveryFilterCombinationMatchesUnfilteredBaseline) {
-  const datagen::TestCase tc = PaperCase();
-  const ReferenceRun reference = RunAdaptive(tc, BaseOptions(tc));
-  ASSERT_GT(reference.result.size(), 0u);
+  const datagen::TestCase tc = parity::PaperCase();
+  const EngineRun reference =
+      parity::RunEngine(tc, FilteredOptions(tc, join::ApproxFilterOptions{}));
+  ASSERT_GT(reference.rows.size(), 0u);
   ASSERT_GT(reference.trace.size(), 0u);
   ASSERT_GT(reference.transitions, 0u);
+  ExpectRecorded("paper/adaptive", reference);
 
-  for (const join::ApproxFilterOptions& filter : AllFilterCombinations()) {
+  for (const join::ApproxFilterOptions& filter :
+       parity::AllFilterCombinations()) {
     SCOPED_TRACE(testing::Message() << "filter=" << filter.Label());
-    AdaptiveJoinOptions options = BaseOptions(tc);
-    options.join.spec.filter = filter;
-    const ReferenceRun filtered = RunAdaptive(tc, options);
-    EXPECT_EQ(filtered.steps, reference.steps);
-    EXPECT_EQ(filtered.pairs, reference.pairs);
-    EXPECT_EQ(filtered.transitions, reference.transitions);
-    ExpectSameRows(filtered.result, reference.result);
-    ExpectSameTrace(filtered.trace, reference.trace);
+    const EngineRun filtered =
+        parity::RunEngine(tc, FilteredOptions(tc, filter));
+    ExpectRecorded("paper/adaptive/filter=" + filter.Label(), filtered);
+    ExpectSameRun(filtered, reference);
   }
 }
 
 TEST(FilterParityTest, FullStackMatchesAcrossBatchSizes) {
-  const datagen::TestCase tc = PaperCase();
-  const ReferenceRun reference = RunAdaptive(tc, BaseOptions(tc, 1));
+  const datagen::TestCase tc = parity::PaperCase();
+  const join::ApproxFilterOptions full = parity::FullFilterStack();
+  const std::string name = "paper/adaptive/filter=" + full.Label();
+  const EngineRun reference = parity::RunEngine(
+      tc, FilteredOptions(tc, join::ApproxFilterOptions{}, 1, 1));
   ASSERT_GT(reference.transitions, 0u);
-  join::ApproxFilterOptions full;
-  full.length = full.prefix = full.positional = true;
   // 7 staggers against δ_adapt = 50; 256 spans several control windows.
   for (size_t batch_size : {size_t{1}, size_t{7}, size_t{256}}) {
     SCOPED_TRACE(testing::Message() << "batch_size=" << batch_size);
-    AdaptiveJoinOptions options = BaseOptions(tc, batch_size);
-    options.join.spec.filter = full;
-    const ReferenceRun filtered = RunAdaptive(tc, options);
-    EXPECT_EQ(filtered.steps, reference.steps);
-    ExpectSameRows(filtered.result, reference.result);
-    ExpectSameTrace(filtered.trace, reference.trace);
+    const EngineRun filtered =
+        parity::RunEngine(tc, FilteredOptions(tc, full, 1, batch_size));
+    ExpectRecorded(name, filtered);
+    ExpectSameRun(filtered, reference);
   }
 }
 
 TEST(FilterParityTest, FullStackMatchesAcrossShardCounts) {
-  const datagen::TestCase tc = PaperCase();
-  const ReferenceRun reference = RunAdaptive(tc, BaseOptions(tc));
+  const datagen::TestCase tc = parity::PaperCase();
+  const join::ApproxFilterOptions full = parity::FullFilterStack();
+  const std::string name = "paper/adaptive/filter=" + full.Label();
+  const EngineRun reference =
+      parity::RunEngine(tc, FilteredOptions(tc, join::ApproxFilterOptions{}));
   ASSERT_GT(reference.transitions, 0u);
-  join::ApproxFilterOptions full;
-  full.length = full.prefix = full.positional = true;
-  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     SCOPED_TRACE(testing::Message() << "shards=" << shards);
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    ParallelJoinOptions options;
-    options.base = BaseOptions(tc);
-    options.base.join.spec.filter = full;
-    options.num_shards = shards;
-    ParallelAdaptiveJoin join(&child, &parent, options);
-    auto result = exec::CollectAll(&join);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(join.steps(), reference.steps);
-    EXPECT_EQ(join.pairs_emitted(), reference.pairs);
-    ExpectSameRows(*result, reference.result);
-    ExpectSameTrace(join.trace(), reference.trace);
+    const EngineRun filtered =
+        parity::RunEngine(tc, FilteredOptions(tc, full, shards));
+    ExpectRecorded(name, filtered);
+    ExpectSameRun(filtered, reference);
   }
 }
 
@@ -172,32 +90,14 @@ TEST(FilterParityTest, SampledGramOrderPreservesParity) {
   // A corpus-sampled frequency order changes which grams form each
   // prefix — cost, not results: parity must hold exactly as with the
   // default key order.
-  const datagen::TestCase tc = PaperCase();
-  const ReferenceRun reference = RunAdaptive(tc, BaseOptions(tc));
+  const datagen::TestCase tc = parity::PaperCase();
+  const EngineRun reference =
+      parity::RunEngine(tc, FilteredOptions(tc, join::ApproxFilterOptions{}));
   ASSERT_GT(reference.transitions, 0u);
-
-  AdaptiveJoinOptions options = BaseOptions(tc);
-  auto order = std::make_shared<text::GramOrder>();
-  for (size_t i = 0; i < tc.parent.size(); ++i) {
-    order->AddSample(
-        tc.parent.row(i)[datagen::kAtlasLocationColumn].AsString(),
-        options.join.spec.qgram);
-  }
-  for (size_t i = 0; i < tc.child.size(); ++i) {
-    order->AddSample(
-        tc.child.row(i)[datagen::kAccidentsLocationColumn].AsString(),
-        options.join.spec.qgram);
-  }
-  ASSERT_GT(order->distinct(), 0u);
-  options.join.spec.filter.length = true;
-  options.join.spec.filter.prefix = true;
-  options.join.spec.filter.positional = true;
-  options.join.spec.filter.gram_order = order;
-  const ReferenceRun filtered = RunAdaptive(tc, options);
-  EXPECT_EQ(filtered.steps, reference.steps);
-  EXPECT_EQ(filtered.pairs, reference.pairs);
-  ExpectSameRows(filtered.result, reference.result);
-  ExpectSameTrace(filtered.trace, reference.trace);
+  const EngineRun filtered = parity::RunEngine(
+      tc, OnShards(parity::SampledOrderOptions(tc), 1));
+  ExpectRecorded("paper/adaptive/sampled_order", filtered);
+  ExpectSameRun(filtered, reference);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "metrics/experiment.h"
 #include "metrics/report.h"
+#include "reference_runs.h"
 
 namespace aqp {
 namespace {
@@ -14,20 +15,7 @@ using metrics::ExperimentOptions;
 using metrics::ExperimentResult;
 
 ExperimentOptions Scaled(PerturbationPattern pattern, bool both) {
-  ExperimentOptions options;
-  options.testcase.pattern = pattern;
-  options.testcase.perturb_parent = both;
-  options.testcase.variant_rate = 0.10;  // the paper's fixed 10%
-  options.testcase.atlas.size = 500;     // scaled-down 8082
-  options.testcase.accidents.size = 1000;
-  options.testcase.seed = 20090326;
-  options.sim_threshold = 0.85;
-  options.adaptive.delta_adapt = 50;
-  options.adaptive.window = 50;
-  options.adaptive.theta_out = 0.05;
-  options.adaptive.theta_curpert = 2;
-  options.adaptive.theta_pastpert = 5;
-  return options;
+  return parity::ScenarioOptions(pattern, both);
 }
 
 class PaperScenarioTest
@@ -52,6 +40,19 @@ TEST_P(PaperScenarioTest, QualitativeResultsHold) {
   EXPECT_GT(result->adaptive.StepShare(adaptive::ProcessorState::kLexRex),
             0.1)
       << result->label;
+}
+
+TEST_P(PaperScenarioTest, TraceMatchesRecordedReference) {
+  // The adaptation trace and the result shape of all three runs are
+  // exactly those recorded from the reference operator.
+  const auto [pattern, both] = GetParam();
+  auto result = metrics::RunExperiment(Scaled(pattern, both));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::string name = parity::ScenarioName(pattern, both);
+  const parity::ScenarioDigest actual = parity::DigestOf(name, *result);
+  const parity::ScenarioDigest recorded = parity::RecordedScenario(name);
+  EXPECT_TRUE(parity::SameScenario(actual, recorded))
+      << "actual:   " << actual << "\nrecorded: " << recorded;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,155 +1,87 @@
-// The partition-parallel join must be indistinguishable from the
-// single-threaded AdaptiveJoin in everything but wall time: identical
-// output row *sequences* (not just multisets — the deterministic shard
-// merge order reproduces the single-threaded probes' ascending-
-// stored-id order) and byte-identical adaptation traces, for every
-// shard count, batch size, drive mode, and control policy.
+// The join engine must be indistinguishable across shard counts in
+// everything but wall time: identical output row *sequences* (not just
+// multisets — the deterministic shard merge order reproduces one
+// index's ascending-stored-id order) and byte-identical adaptation
+// traces, for every shard count, batch size, drive mode, and control
+// policy — each run matching the reference digests recorded in
+// testdata/reference_digests.inc, and the runs matching each other row
+// for row.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "adaptive/adaptive_join.h"
 #include "datagen/generator.h"
 #include "exec/parallel/parallel_join.h"
 #include "exec/scan.h"
+#include "reference_runs.h"
 
 namespace aqp {
 namespace {
 
-using adaptive::AdaptiveJoin;
-using adaptive::AdaptiveJoinOptions;
+using engine_test::OnShards;
 using exec::parallel::ParallelAdaptiveJoin;
 using exec::parallel::ParallelJoinOptions;
 using exec::parallel::ParallelMatchRef;
+using parity::EngineRun;
+using parity::ExpectRecorded;
+using parity::ExpectSameRun;
+using parity::RunEngine;
 
 constexpr size_t kShardCounts[] = {1, 2, 4, 8};
 
-datagen::TestCase PaperCase() {
-  datagen::TestCaseOptions options;
-  options.pattern = datagen::PerturbationPattern::kFewHighIntensityRegions;
-  options.perturb_parent = false;
-  options.variant_rate = 0.10;
-  options.atlas.size = 400;
-  options.accidents.size = 800;
-  options.seed = 20090326;
-  auto tc = datagen::GenerateTestCase(options);
-  EXPECT_TRUE(tc.ok());
-  return std::move(*tc);
-}
-
-AdaptiveJoinOptions BaseOptions(const datagen::TestCase& tc) {
-  AdaptiveJoinOptions options;
-  options.join.spec.left_column = datagen::kAccidentsLocationColumn;
-  options.join.spec.right_column = datagen::kAtlasLocationColumn;
-  options.join.spec.sim_threshold = 0.85;
-  options.adaptive.parent_side = exec::Side::kRight;
-  options.adaptive.parent_table_size = tc.parent.size();
-  options.adaptive.delta_adapt = 50;
-  options.adaptive.window = 50;
-  return options;
-}
-
-struct ReferenceRun {
-  storage::Relation result;
-  adaptive::AdaptationTrace trace;
-  uint64_t steps = 0;
-  uint64_t pairs = 0;
-  uint64_t transitions = 0;
-};
-
-ReferenceRun RunSingleThreaded(const datagen::TestCase& tc,
-                               AdaptiveJoinOptions options) {
-  exec::RelationScan child(&tc.child);
-  exec::RelationScan parent(&tc.parent);
-  AdaptiveJoin join(&child, &parent, options);
-  auto result = exec::CollectAll(&join);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  ReferenceRun run;
-  run.result = std::move(*result);
-  run.trace = join.trace();
-  run.steps = join.steps();
-  run.pairs = join.core().pairs_emitted();
-  run.transitions = join.cost().total_transitions();
+/// Drives `join` tuple-at-a-time through the row protocol (Next()).
+EngineRun CollectByNext(ParallelAdaptiveJoin* join) {
+  EXPECT_TRUE(join->Open().ok());
+  storage::Relation collected(join->output_schema());
+  while (true) {
+    auto next = join->Next();
+    EXPECT_TRUE(next.ok()) << next.status().ToString();
+    if (!next.ok() || !next->has_value()) break;
+    collected.AppendUnchecked(std::move(**next));
+  }
+  EXPECT_TRUE(join->Close().ok());
+  EngineRun run = parity::Observe(*join);
+  run.rows = std::move(collected);
   return run;
 }
 
-void ExpectSameTrace(const adaptive::AdaptationTrace& actual,
-                     const adaptive::AdaptationTrace& expected) {
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(actual.records()[i], expected.records()[i])
-        << "assessment " << i;
-  }
-}
-
-void ExpectSameRows(const storage::Relation& actual,
-                    const storage::Relation& expected) {
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(actual.row(i), expected.row(i)) << "row " << i;
-  }
-}
-
 TEST(ParallelParityTest, EveryShardCountMatchesSingleThreadedAdaptive) {
-  const datagen::TestCase tc = PaperCase();
-  const ReferenceRun reference = RunSingleThreaded(tc, BaseOptions(tc));
-  ASSERT_GT(reference.result.size(), 0u);
-  ASSERT_GT(reference.trace.size(), 0u);
+  const datagen::TestCase tc = parity::PaperCase();
   // The scenario must actually adapt, or the parity claim is vacuous.
-  ASSERT_GT(reference.transitions, 0u);
+  const parity::RunDigest recorded = parity::RecordedRun("paper/adaptive");
+  ASSERT_GT(recorded.rows, 0u);
+  ASSERT_GT(recorded.trace_records, 0u);
+  ASSERT_GT(recorded.transitions, 0u);
 
+  const EngineRun one_shard =
+      RunEngine(tc, OnShards(parity::AdaptiveOptions(tc), 1));
   for (size_t shards : kShardCounts) {
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    ParallelJoinOptions options;
-    options.base = BaseOptions(tc);
-    options.num_shards = shards;
-    ParallelAdaptiveJoin join(&child, &parent, options);
-    auto result = exec::CollectAll(&join);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-
     SCOPED_TRACE(testing::Message() << "shards=" << shards);
-    EXPECT_EQ(join.steps(), reference.steps);
-    EXPECT_EQ(join.pairs_emitted(), reference.pairs);
-    EXPECT_EQ(join.monitor().steps(), reference.steps);
-    ExpectSameRows(*result, reference.result);
-    ExpectSameTrace(join.trace(), reference.trace);
+    const EngineRun run =
+        RunEngine(tc, OnShards(parity::AdaptiveOptions(tc), shards));
+    ExpectRecorded("paper/adaptive", run);
+    ExpectSameRun(run, one_shard);
   }
 }
 
 TEST(ParallelParityTest, DriveModesAgreeAtFourShards) {
-  const datagen::TestCase tc = PaperCase();
-  const ReferenceRun reference = RunSingleThreaded(tc, BaseOptions(tc));
+  const datagen::TestCase tc = parity::PaperCase();
+  const ParallelJoinOptions options =
+      OnShards(parity::AdaptiveOptions(tc), 4);
 
   // Row protocol via tuple-at-a-time Next().
   {
     exec::RelationScan child(&tc.child);
     exec::RelationScan parent(&tc.parent);
-    ParallelJoinOptions options;
-    options.base = BaseOptions(tc);
-    options.num_shards = 4;
     ParallelAdaptiveJoin join(&child, &parent, options);
-    ASSERT_TRUE(join.Open().ok());
-    storage::Relation collected(join.output_schema());
-    while (true) {
-      auto next = join.Next();
-      ASSERT_TRUE(next.ok()) << next.status().ToString();
-      if (!next->has_value()) break;
-      collected.AppendUnchecked(std::move(**next));
-    }
-    ASSERT_TRUE(join.Close().ok());
-    ExpectSameRows(collected, reference.result);
-    ExpectSameTrace(join.trace(), reference.trace);
+    ExpectRecorded("paper/adaptive", CollectByNext(&join));
   }
 
   // Match-ref protocol, materialized at the sink.
   {
     exec::RelationScan child(&tc.child);
     exec::RelationScan parent(&tc.parent);
-    ParallelJoinOptions options;
-    options.base = BaseOptions(tc);
-    options.num_shards = 4;
     ParallelAdaptiveJoin join(&child, &parent, options);
     ASSERT_TRUE(join.Open().ok());
     storage::Relation collected(join.output_schema());
@@ -162,39 +94,44 @@ TEST(ParallelParityTest, DriveModesAgreeAtFourShards) {
       }
     }
     ASSERT_TRUE(join.Close().ok());
-    ExpectSameRows(collected, reference.result);
-    ExpectSameTrace(join.trace(), reference.trace);
+    EngineRun run = parity::Observe(join);
+    run.rows = std::move(collected);
+    ExpectRecorded("paper/adaptive", run);
   }
 
   // Counting drain: no row is ever materialized.
   {
     exec::RelationScan child(&tc.child);
     exec::RelationScan parent(&tc.parent);
-    ParallelJoinOptions options;
-    options.base = BaseOptions(tc);
-    options.num_shards = 4;
     ParallelAdaptiveJoin join(&child, &parent, options);
     auto count = exec::CountAll(&join);
     ASSERT_TRUE(count.ok()) << count.status().ToString();
-    EXPECT_EQ(*count, reference.result.size());
-    ExpectSameTrace(join.trace(), reference.trace);
+    const parity::RunDigest recorded = parity::RecordedRun("paper/adaptive");
+    EXPECT_EQ(*count, recorded.rows);
+    EXPECT_EQ(join.trace().size(), recorded.trace_records);
+    EXPECT_EQ(parity::HashTrace(join.trace()), recorded.trace_hash);
+    EXPECT_EQ(join.steps(), recorded.steps);
   }
 }
 
 TEST(ParallelParityTest, ColumnarProtocolMatchesRowAdapterEveryShardCount) {
   // The native columnar drive (NextColumnBatch, cells written straight
-  // from the shard stores' columns) must agree with the row adapter —
-  // and therefore with the single-threaded reference — for every shard
+  // from the shard stores' columns) must agree with the row protocol
+  // (Next()) — and with the recorded reference — for every shard
   // count: byte-identical row sequences and adaptation traces.
-  const datagen::TestCase tc = PaperCase();
-  const ReferenceRun reference = RunSingleThreaded(tc, BaseOptions(tc));
-  ASSERT_GT(reference.result.size(), 0u);
+  const datagen::TestCase tc = parity::PaperCase();
   for (size_t shards : kShardCounts) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    const ParallelJoinOptions options =
+        OnShards(parity::AdaptiveOptions(tc), shards);
+
+    exec::RelationScan row_child(&tc.child);
+    exec::RelationScan row_parent(&tc.parent);
+    ParallelAdaptiveJoin row_join(&row_child, &row_parent, options);
+    const EngineRun rows = CollectByNext(&row_join);
+
     exec::RelationScan child(&tc.child);
     exec::RelationScan parent(&tc.parent);
-    ParallelJoinOptions options;
-    options.base = BaseOptions(tc);
-    options.num_shards = shards;
     ParallelAdaptiveJoin join(&child, &parent, options);
     ASSERT_TRUE(join.Open().ok());
     storage::Relation collected(join.output_schema());
@@ -206,117 +143,108 @@ TEST(ParallelParityTest, ColumnarProtocolMatchesRowAdapterEveryShardCount) {
       collected.AppendColumnBatchUnchecked(batch);
     }
     ASSERT_TRUE(join.Close().ok());
-    SCOPED_TRACE(testing::Message() << "shards=" << shards);
-    ExpectSameRows(collected, reference.result);
-    ExpectSameTrace(join.trace(), reference.trace);
+    EngineRun columnar = parity::Observe(join);
+    columnar.rows = std::move(collected);
+
+    ExpectRecorded("paper/adaptive", columnar);
+    ExpectSameRun(columnar, rows);
   }
 }
 
 TEST(ParallelParityTest, ChildBatchSizesDoNotChangeResults) {
-  const datagen::TestCase tc = PaperCase();
-  const ReferenceRun reference = RunSingleThreaded(tc, BaseOptions(tc));
+  const datagen::TestCase tc = parity::PaperCase();
   for (size_t batch : {size_t{1}, size_t{7}, size_t{256}}) {
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    ParallelJoinOptions options;
-    options.base = BaseOptions(tc);
+    SCOPED_TRACE(testing::Message() << "child batch=" << batch);
+    ParallelJoinOptions options = OnShards(parity::AdaptiveOptions(tc), 4);
     options.base.join.batch_size = batch;
-    options.num_shards = 4;
-    ParallelAdaptiveJoin join(&child, &parent, options);
     exec::ExecOptions drain;
     drain.batch_size = 33;
-    auto result = exec::CollectAll(&join, drain);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    SCOPED_TRACE(testing::Message() << "child batch=" << batch);
-    ExpectSameRows(*result, reference.result);
-    ExpectSameTrace(join.trace(), reference.trace);
+    ExpectRecorded("paper/adaptive", RunEngine(tc, options, drain));
   }
 }
 
 TEST(ParallelParityTest, PinnedStatesMatchSingleThreadedBaselines) {
-  // Pinned lex/rex is the parallel SHJoin, pinned lap/rap the parallel
-  // SSHJoin; both must reproduce the single-threaded runs row for row.
-  const datagen::TestCase tc = PaperCase();
+  // Pinned lex/rex is SHJoin, pinned lap/rap SSHJoin; both, and the
+  // lap/rex hybrid, must reproduce the recorded runs row for row at
+  // every shard count.
+  const datagen::TestCase tc = parity::PaperCase();
   for (adaptive::ProcessorState state :
        {adaptive::ProcessorState::kLexRex, adaptive::ProcessorState::kLapRap,
         adaptive::ProcessorState::kLapRex}) {
-    AdaptiveJoinOptions base = BaseOptions(tc);
-    base.adaptive.policy = adaptive::AdaptivePolicy::kPinned;
-    base.adaptive.initial_state = state;
-    const ReferenceRun reference = RunSingleThreaded(tc, base);
-    ASSERT_GT(reference.result.size(), 0u);
+    const std::string name = parity::PinnedName(state);
+    ASSERT_GT(parity::RecordedRun(name).rows, 0u);
+    EngineRun one_shard;
     for (size_t shards : kShardCounts) {
-      exec::RelationScan child(&tc.child);
-      exec::RelationScan parent(&tc.parent);
-      ParallelJoinOptions options;
-      options.base = base;
-      options.num_shards = shards;
+      SCOPED_TRACE(testing::Message() << name << " shards=" << shards);
+      ParallelJoinOptions options =
+          OnShards(parity::PinnedOptions(tc, state), shards);
       // Exercise the unbounded-epoch path with an odd length too.
       options.unbounded_epoch_steps = shards % 2 == 0 ? 173 : 4096;
-      ParallelAdaptiveJoin join(&child, &parent, options);
-      auto result = exec::CollectAll(&join);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      SCOPED_TRACE(testing::Message()
-                   << "state=" << adaptive::ProcessorStateName(state)
-                   << " shards=" << shards);
-      ExpectSameRows(*result, reference.result);
-      EXPECT_EQ(join.trace().size(), 0u);
+      const EngineRun run = RunEngine(tc, options);
+      ExpectRecorded(name, run);
+      EXPECT_EQ(run.trace.size(), 0u);
+      if (shards == 1) {
+        one_shard = run;
+      } else {
+        ExpectSameRun(run, one_shard);
+      }
     }
   }
 }
 
 TEST(ParallelParityTest, ScriptedTransitionsFireAtSameStepsAcrossShards) {
-  const datagen::TestCase tc = PaperCase();
-  AdaptiveJoinOptions base = BaseOptions(tc);
-  base.adaptive.policy = adaptive::AdaptivePolicy::kScripted;
-  base.adaptive.script = {
-      {120, adaptive::ProcessorState::kLapRex},
-      {300, adaptive::ProcessorState::kLapRap},
-      {700, adaptive::ProcessorState::kLexRex},
-  };
-  const ReferenceRun reference = RunSingleThreaded(tc, base);
-  ASSERT_EQ(reference.trace.size(), 3u);
+  const datagen::TestCase tc = parity::PaperCase();
+  ASSERT_EQ(parity::RecordedRun("paper/scripted").trace_records, 3u);
+  EngineRun one_shard;
   for (size_t shards : kShardCounts) {
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    ParallelJoinOptions options;
-    options.base = base;
-    options.num_shards = shards;
-    ParallelAdaptiveJoin join(&child, &parent, options);
-    auto result = exec::CollectAll(&join);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
     SCOPED_TRACE(testing::Message() << "shards=" << shards);
-    ExpectSameRows(*result, reference.result);
-    ExpectSameTrace(join.trace(), reference.trace);
+    const EngineRun run =
+        RunEngine(tc, OnShards(parity::ScriptedOptions(tc), shards));
+    ExpectRecorded("paper/scripted", run);
+    if (shards == 1) {
+      one_shard = run;
+    } else {
+      ExpectSameRun(run, one_shard);
+    }
   }
 }
 
 TEST(ParallelParityTest, BothInputsPerturbedStillAgree) {
   // Perturbing both inputs drives the ϕ1 path (lap/rap) and maximizes
   // cross-shard approximate traffic — the hardest merge case.
-  datagen::TestCaseOptions tco;
-  tco.pattern = datagen::PerturbationPattern::kUniform;
-  tco.perturb_parent = true;
-  tco.variant_rate = 0.15;
-  tco.atlas.size = 300;
-  tco.accidents.size = 600;
-  tco.seed = 42;
-  auto tc = datagen::GenerateTestCase(tco);
-  ASSERT_TRUE(tc.ok());
-  const ReferenceRun reference = RunSingleThreaded(*tc, BaseOptions(*tc));
-  ASSERT_GT(reference.result.size(), 0u);
+  const datagen::TestCase tc = parity::BothPerturbedCase();
+  ASSERT_GT(parity::RecordedRun("both_perturbed/adaptive").rows, 0u);
+  EngineRun one_shard;
   for (size_t shards : kShardCounts) {
-    exec::RelationScan child(&tc->child);
-    exec::RelationScan parent(&tc->parent);
-    ParallelJoinOptions options;
-    options.base = BaseOptions(*tc);
-    options.num_shards = shards;
-    ParallelAdaptiveJoin join(&child, &parent, options);
-    auto result = exec::CollectAll(&join);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
     SCOPED_TRACE(testing::Message() << "shards=" << shards);
-    ExpectSameRows(*result, reference.result);
-    ExpectSameTrace(join.trace(), reference.trace);
+    const EngineRun run =
+        RunEngine(tc, OnShards(parity::AdaptiveOptions(tc), shards));
+    ExpectRecorded("both_perturbed/adaptive", run);
+    if (shards == 1) {
+      one_shard = run;
+    } else {
+      ExpectSameRun(run, one_shard);
+    }
+  }
+}
+
+TEST(ParallelParityTest, EveryRecordedConfigurationReproduces) {
+  // Every recorded run digest belongs to a configuration, and every
+  // configuration reproduces it — on one shard and on an odd count.
+  const std::vector<parity::ReferenceConfig> configs =
+      parity::ReferenceConfigs();
+  ASSERT_EQ(configs.size(), parity::RecordedRuns().size());
+  const datagen::TestCase paper = parity::PaperCase();
+  const datagen::TestCase both = parity::BothPerturbedCase();
+  for (const parity::ReferenceConfig& config : configs) {
+    const datagen::TestCase& tc = config.both_perturbed ? both : paper;
+    for (size_t shards : {size_t{1}, size_t{3}}) {
+      SCOPED_TRACE(testing::Message()
+                   << config.name << " shards=" << shards);
+      const ParallelJoinOptions options =
+          OnShards(parity::ConfigOptions(config, tc), shards);
+      ExpectRecorded(config.name, RunEngine(tc, options));
+    }
   }
 }
 

@@ -11,7 +11,7 @@
 #include "common/random.h"
 #include "exec/scan.h"
 #include "join/brute_force.h"
-#include "join/sshjoin.h"
+#include "testing/engine.h"
 
 namespace aqp {
 namespace join {
@@ -71,7 +71,7 @@ TEST_P(ConfigSpaceTest, SSHJoinMatchesOracle) {
   exec::RelationScan rs(&right);
   SymmetricJoinOptions options;
   options.spec = spec;
-  SSHJoin join(&ls, &rs, options);
+  engine_test::ApproxJoin join(&ls, &rs, options);
   auto result = exec::CollectAll(&join);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 

@@ -3,12 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include "adaptive/adaptive_join.h"
 #include "common/failpoint.h"
 #include "exec/parallel/parallel_join.h"
 #include "exec/scan.h"
-#include "join/shjoin.h"
-#include "join/sshjoin.h"
+#include "testing/engine.h"
 
 namespace aqp {
 namespace join {
@@ -19,6 +17,9 @@ using storage::Schema;
 using storage::Tuple;
 using storage::Value;
 using storage::ValueType;
+
+using engine_test::ApproxJoin;
+using engine_test::ExactJoin;
 
 Schema OneCol() { return Schema({{"s", ValueType::kString}}); }
 
@@ -82,7 +83,7 @@ TEST(FailureInjectionTest, ChildErrorSurfacesThroughJoin) {
   const Relation right = Strings({"A", "B", "C", "D"});
   FlakyOperator left(OneCol(), 2);
   exec::RelationScan right_scan(&right);
-  SHJoin join(&left, &right_scan, SymmetricJoinOptions{});
+  ExactJoin join(&left, &right_scan, SymmetricJoinOptions{});
   ASSERT_TRUE(join.Open().ok());
   Status seen = Status::OK();
   while (true) {
@@ -100,7 +101,7 @@ TEST(FailureInjectionTest, FailedChildOpenPropagates) {
   const Relation right = Strings({"A"});
   UnopenableOperator left(OneCol());
   exec::RelationScan right_scan(&right);
-  SHJoin join(&left, &right_scan, SymmetricJoinOptions{});
+  ExactJoin join(&left, &right_scan, SymmetricJoinOptions{});
   EXPECT_TRUE(join.Open().IsIOError());
 }
 
@@ -110,7 +111,7 @@ TEST(FailureInjectionTest, FailedRightOpenClosesAlreadyOpenedLeft) {
   // child is not closed on the error path it stays open forever.
   FlakyOperator left(OneCol(), 4);
   UnopenableOperator right(OneCol());
-  SHJoin join(&left, &right, SymmetricJoinOptions{});
+  ExactJoin join(&left, &right, SymmetricJoinOptions{});
   EXPECT_TRUE(join.Open().IsIOError());
   EXPECT_EQ(left.opens(), 1);
   EXPECT_EQ(left.closes(), 1);
@@ -119,7 +120,7 @@ TEST(FailureInjectionTest, FailedRightOpenClosesAlreadyOpenedLeft) {
   // The join is still usable against an openable right child.
   const Relation data = Strings({"A"});
   exec::RelationScan good_right(&data);
-  SHJoin retry(&left, &good_right, SymmetricJoinOptions{});
+  ExactJoin retry(&left, &good_right, SymmetricJoinOptions{});
   ASSERT_TRUE(retry.Open().ok());
   EXPECT_EQ(left.opens(), 2);
   ASSERT_TRUE(retry.Close().ok());
@@ -130,7 +131,8 @@ TEST(FailureInjectionTest, AdaptiveJoinFailedRightOpenClosesLeft) {
   FlakyOperator left(OneCol(), 4);
   UnopenableOperator right(OneCol());
   adaptive::AdaptiveJoinOptions options;
-  adaptive::AdaptiveJoin join(&left, &right, options);
+  exec::parallel::ParallelAdaptiveJoin join(&left, &right,
+                                            engine_test::OnShards(options));
   EXPECT_TRUE(join.Open().IsIOError());
   EXPECT_EQ(left.opens(), 1);
   EXPECT_EQ(left.closes(), 1);
@@ -140,7 +142,7 @@ TEST(FailureInjectionTest, JoinLifecycleErrors) {
   const Relation data = Strings({"A"});
   exec::RelationScan l(&data);
   exec::RelationScan r(&data);
-  SHJoin join(&l, &r, SymmetricJoinOptions{});
+  ExactJoin join(&l, &r, SymmetricJoinOptions{});
   EXPECT_TRUE(join.Next().status().IsFailedPrecondition());
   EXPECT_TRUE(join.Close().IsFailedPrecondition());
   ASSERT_TRUE(join.Open().ok());
@@ -152,7 +154,7 @@ TEST(FailureInjectionTest, BothInputsEmpty) {
   const Relation empty = Strings({});
   exec::RelationScan l(&empty);
   exec::RelationScan r(&empty);
-  SSHJoin join(&l, &r, SymmetricJoinOptions{});
+  ApproxJoin join(&l, &r, SymmetricJoinOptions{});
   auto count = exec::CountAll(&join);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 0u);
@@ -166,7 +168,8 @@ TEST(FailureInjectionTest, AdaptiveJoinWithEmptyParent) {
   exec::RelationScan r(&parent);
   adaptive::AdaptiveJoinOptions options;
   options.adaptive.parent_table_size = 0;
-  adaptive::AdaptiveJoin join(&l, &r, options);
+  exec::parallel::ParallelAdaptiveJoin join(&l, &r,
+                                            engine_test::OnShards(options));
   auto count = exec::CountAll(&join);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 0u);
@@ -177,7 +180,7 @@ TEST(FailureInjectionTest, ErrorDuringDrainAfterOneSideDone) {
   const Relation left_data = Strings({"A"});
   exec::RelationScan left(&left_data);
   FlakyOperator right(OneCol(), 3);
-  SHJoin join(&left, &right, SymmetricJoinOptions{});
+  ExactJoin join(&left, &right, SymmetricJoinOptions{});
   ASSERT_TRUE(join.Open().ok());
   Status seen = Status::OK();
   while (true) {
@@ -198,7 +201,7 @@ TEST(FailureInjectionTest, MismatchedSchemaRejectedBeforeChildrenOpen) {
   FlakyOperator never_opened(Schema({{"n", ValueType::kInt64}}), 1);
   exec::RelationScan number_scan(&numbers);
   exec::RelationScan string_scan(&strings);
-  SHJoin join(&number_scan, &string_scan, SymmetricJoinOptions{});
+  ExactJoin join(&number_scan, &string_scan, SymmetricJoinOptions{});
   EXPECT_TRUE(join.Open().IsInvalidArgument());  // int column as key
 }
 
@@ -209,7 +212,7 @@ TEST(FailureInjectionTest, ScanFailpointSurfacesWithBreadcrumbAndClears) {
   const Relation right_data = Strings({"A", "B"});
   exec::RelationScan left(&left_data);
   exec::RelationScan right(&right_data);
-  SHJoin join(&left, &right, SymmetricJoinOptions{});
+  ExactJoin join(&left, &right, SymmetricJoinOptions{});
   fail::ScopedFailpoint guard(
       fail::site::kScanNext,
       fail::Policy::Once(Status::IOError("injected fault")));
@@ -231,7 +234,7 @@ TEST(FailureInjectionTest, ScanFailpointSurfacesWithBreadcrumbAndClears) {
   fail::DisarmAll();
   exec::RelationScan left2(&left_data);
   exec::RelationScan right2(&right_data);
-  SHJoin retry(&left2, &right2, SymmetricJoinOptions{});
+  ExactJoin retry(&left2, &right2, SymmetricJoinOptions{});
   auto count = exec::CountAll(&retry);
   ASSERT_TRUE(count.ok()) << count.status().ToString();
   EXPECT_EQ(*count, 2u);  // A and B match themselves

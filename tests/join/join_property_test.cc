@@ -10,8 +10,7 @@
 #include "exec/scan.h"
 #include "join/brute_force.h"
 #include "join/hybrid_core.h"
-#include "join/shjoin.h"
-#include "join/sshjoin.h"
+#include "testing/engine.h"
 
 namespace aqp {
 namespace join {
@@ -77,7 +76,7 @@ TEST_P(JoinOracleTest, SSHJoinEqualsBruteForceSimilarityJoin) {
   SymmetricJoinOptions options;
   options.spec = spec;
   options.emit_similarity = true;
-  SSHJoin join(&ls, &rs, options);
+  engine_test::ApproxJoin join(&ls, &rs, options);
   auto result = exec::CollectAll(&join);
   ASSERT_TRUE(result.ok());
 
@@ -107,7 +106,7 @@ TEST_P(JoinOracleTest, SHJoinEqualsBruteForceExactJoin) {
   exec::RelationScan rs(&right);
   SymmetricJoinOptions options;
   options.spec = spec;
-  SHJoin join(&ls, &rs, options);
+  engine_test::ExactJoin join(&ls, &rs, options);
   auto count = exec::CountAll(&join);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, BruteForceExactJoin(left, right, spec).size());

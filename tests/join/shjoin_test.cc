@@ -1,9 +1,11 @@
-#include "join/shjoin.h"
+// SHJoin (§2.1) is the join engine pinned to lex/rex: both inputs
+// probe the other side's exact hash table.
 
 #include <gtest/gtest.h>
 
 #include "exec/scan.h"
 #include "join/brute_force.h"
+#include "testing/engine.h"
 
 namespace aqp {
 namespace join {
@@ -14,6 +16,8 @@ using storage::Schema;
 using storage::Tuple;
 using storage::Value;
 using storage::ValueType;
+
+using engine_test::ExactJoin;
 
 Relation Strings(const std::vector<std::string>& values) {
   Relation r(Schema({{"s", ValueType::kString}}));
@@ -29,13 +33,13 @@ TEST(SHJoinTest, MatchesBruteForceExactJoin) {
   exec::RelationScan ls(&left);
   exec::RelationScan rs(&right);
   SymmetricJoinOptions options;
-  SHJoin join(&ls, &rs, options);
+  ExactJoin join(&ls, &rs, options);
   auto result = exec::CollectAll(&join);
   ASSERT_TRUE(result.ok());
   const auto expected = BruteForceExactJoin(left, right, options.spec);
   EXPECT_EQ(result->size(), expected.size());
-  EXPECT_EQ(join.core().exact_pairs(), expected.size());
-  EXPECT_EQ(join.core().approximate_pairs(), 0u);
+  EXPECT_EQ(join.exact_pairs(), expected.size());
+  EXPECT_EQ(join.approximate_pairs(), 0u);
 }
 
 TEST(SHJoinTest, OutputConcatenatesLeftThenRight) {
@@ -50,7 +54,7 @@ TEST(SHJoinTest, OutputConcatenatesLeftThenRight) {
   SymmetricJoinOptions options;
   options.spec.left_column = 1;
   options.spec.right_column = 0;
-  SHJoin join(&ls, &rs, options);
+  ExactJoin join(&ls, &rs, options);
   auto result = exec::CollectAll(&join);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 1u);
@@ -69,7 +73,7 @@ TEST(SHJoinTest, EmitSimilarityAppendsColumn) {
   exec::RelationScan rs(&right);
   SymmetricJoinOptions options;
   options.emit_similarity = true;
-  SHJoin join(&ls, &rs, options);
+  ExactJoin join(&ls, &rs, options);
   auto result = exec::CollectAll(&join);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 1u);
@@ -82,7 +86,7 @@ TEST(SHJoinTest, EmptyInputsProduceEmptyResult) {
   const Relation right = Strings({"A"});
   exec::RelationScan ls(&left);
   exec::RelationScan rs(&right);
-  SHJoin join(&ls, &rs, SymmetricJoinOptions{});
+  ExactJoin join(&ls, &rs, SymmetricJoinOptions{});
   auto count = exec::CountAll(&join);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 0u);
@@ -93,7 +97,7 @@ TEST(SHJoinTest, VariantsDoNotMatchExactly) {
   const Relation right = Strings({"SANTA CRISTINx"});
   exec::RelationScan ls(&left);
   exec::RelationScan rs(&right);
-  SHJoin join(&ls, &rs, SymmetricJoinOptions{});
+  ExactJoin join(&ls, &rs, SymmetricJoinOptions{});
   auto count = exec::CountAll(&join);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 0u);
@@ -104,7 +108,7 @@ TEST(SHJoinTest, DuplicateKeysProduceCrossProduct) {
   const Relation right = Strings({"K", "K", "K"});
   exec::RelationScan ls(&left);
   exec::RelationScan rs(&right);
-  SHJoin join(&ls, &rs, SymmetricJoinOptions{});
+  ExactJoin join(&ls, &rs, SymmetricJoinOptions{});
   auto count = exec::CountAll(&join);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 6u);
@@ -117,7 +121,7 @@ TEST(SHJoinTest, RejectsInvalidSpecAtOpen) {
   exec::RelationScan rs(&right);
   SymmetricJoinOptions options;
   options.spec.left_column = 9;
-  SHJoin join(&ls, &rs, options);
+  ExactJoin join(&ls, &rs, options);
   EXPECT_TRUE(join.Open().IsInvalidArgument());
 }
 
@@ -126,7 +130,7 @@ TEST(SHJoinTest, QuiescentExactlyWhenNoPendingOutput) {
   const Relation right = Strings({"K", "K"});
   exec::RelationScan ls(&left);
   exec::RelationScan rs(&right);
-  SHJoin join(&ls, &rs, SymmetricJoinOptions{});
+  ExactJoin join(&ls, &rs, SymmetricJoinOptions{});
   ASSERT_TRUE(join.Open().ok());
   EXPECT_TRUE(join.quiescent());
   // Reading the second K from the right yields 1 match... pull tuples
@@ -147,11 +151,11 @@ TEST(SHJoinTest, StepsEqualTuplesRead) {
   const Relation right = Strings({"D", "E"});
   exec::RelationScan ls(&left);
   exec::RelationScan rs(&right);
-  SHJoin join(&ls, &rs, SymmetricJoinOptions{});
+  ExactJoin join(&ls, &rs, SymmetricJoinOptions{});
   ASSERT_TRUE(exec::CountAll(&join).ok());
   EXPECT_EQ(join.steps(), 5u);
-  EXPECT_TRUE(join.input_exhausted(exec::Side::kLeft));
-  EXPECT_TRUE(join.input_exhausted(exec::Side::kRight));
+  EXPECT_TRUE(join.stream_done());
+  EXPECT_FALSE(join.finalized_early());
 }
 
 }  // namespace

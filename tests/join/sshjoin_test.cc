@@ -1,4 +1,5 @@
-#include "join/sshjoin.h"
+// SSHJoin (§2.2) is the join engine pinned to lap/rap: both inputs
+// probe the other side's q-gram index.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 
 #include "exec/scan.h"
 #include "join/brute_force.h"
+#include "testing/engine.h"
 
 namespace aqp {
 namespace join {
@@ -17,6 +19,8 @@ using storage::Schema;
 using storage::Tuple;
 using storage::Value;
 using storage::ValueType;
+
+using engine_test::ApproxJoin;
 
 Relation Strings(const std::vector<std::string>& values) {
   Relation r(Schema({{"s", ValueType::kString}}));
@@ -34,7 +38,7 @@ std::multiset<std::pair<std::string, std::string>> RunSSHJoin(
   exec::RelationScan rs(&right);
   SymmetricJoinOptions options;
   options.spec.sim_threshold = threshold;
-  SSHJoin join(&ls, &rs, options);
+  ApproxJoin join(&ls, &rs, options);
   auto result = exec::CollectAll(&join);
   EXPECT_TRUE(result.ok());
   std::multiset<std::pair<std::string, std::string>> pairs;
@@ -98,11 +102,11 @@ TEST(SSHJoinTest, CoreCountsKinds) {
   exec::RelationScan rs(&right);
   SymmetricJoinOptions options;
   options.spec.sim_threshold = 0.8;
-  SSHJoin join(&ls, &rs, options);
+  ApproxJoin join(&ls, &rs, options);
   ASSERT_TRUE(exec::CountAll(&join).ok());
-  EXPECT_EQ(join.core().exact_pairs(), 1u);
-  EXPECT_EQ(join.core().approximate_pairs(), 1u);
-  EXPECT_GT(join.core().approx_probe_stats().grams, 0u);
+  EXPECT_EQ(join.exact_pairs(), 1u);
+  EXPECT_EQ(join.approximate_pairs(), 1u);
+  EXPECT_GT(join.shard(0).core().approx_probe_stats().grams, 0u);
 }
 
 TEST(SSHJoinTest, TinyThresholdMatchesOracle) {
@@ -122,7 +126,7 @@ TEST(SSHJoinTest, ThresholdZeroRejectedAtOpen) {
   exec::RelationScan rs(&right);
   SymmetricJoinOptions options;
   options.spec.sim_threshold = 0.0;
-  SSHJoin join(&ls, &rs, options);
+  ApproxJoin join(&ls, &rs, options);
   EXPECT_TRUE(join.Open().IsInvalidArgument());
 }
 
@@ -141,7 +145,7 @@ TEST(SSHJoinTest, SimilarityColumnCarriesCoefficient) {
   SymmetricJoinOptions options;
   options.spec.sim_threshold = 0.8;
   options.emit_similarity = true;
-  SSHJoin join(&ls, &rs, options);
+  ApproxJoin join(&ls, &rs, options);
   auto result = exec::CollectAll(&join);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 1u);
@@ -163,7 +167,7 @@ TEST(SSHJoinTest, DiceMeasureSupported) {
   SymmetricJoinOptions options;
   options.spec.measure = text::SimilarityMeasure::kDice;
   options.spec.sim_threshold = 0.88;  // Dice is more forgiving than Jaccard
-  SSHJoin join(&ls, &rs, options);
+  ApproxJoin join(&ls, &rs, options);
   auto count = exec::CountAll(&join);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 1u);

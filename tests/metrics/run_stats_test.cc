@@ -4,6 +4,7 @@
 
 #include "datagen/generator.h"
 #include "exec/scan.h"
+#include "testing/engine.h"
 
 namespace aqp {
 namespace metrics {
@@ -47,7 +48,8 @@ TEST(RunStatsTest, SummarizeRunCapturesCore) {
   jo.adaptive.window = 40;
   exec::RelationScan child(&tc->child);
   exec::RelationScan parent(&tc->parent);
-  adaptive::AdaptiveJoin join(&child, &parent, jo);
+  exec::parallel::ParallelAdaptiveJoin join(&child, &parent,
+                                            engine_test::OnShards(jo, 2));
   auto count = exec::CountAll(&join);
   ASSERT_TRUE(count.ok());
 
@@ -57,10 +59,21 @@ TEST(RunStatsTest, SummarizeRunCapturesCore) {
   EXPECT_EQ(stats.total_steps, tc->child.size() + tc->parent.size());
   EXPECT_DOUBLE_EQ(stats.wall_seconds, 1.5);
   EXPECT_GT(stats.memory_bytes, 0u);
+  // Memory and peak come from the join itself, summed over both shards.
+  EXPECT_EQ(stats.memory_bytes, join.memory_bytes());
+  EXPECT_EQ(stats.peak_memory_bytes, join.peak_memory_bytes());
   EXPECT_EQ(stats.exact_pairs + stats.approx_pairs, stats.result_pairs);
+  EXPECT_EQ(stats.distinct_children_matched,
+            join.distinct_matched(exec::Side::kLeft));
   uint64_t sum = 0;
   for (uint64_t s : stats.steps_per_state) sum += s;
   EXPECT_EQ(sum, stats.total_steps);
+  // Catch-up work is summed over the shards.
+  uint64_t catchup = 0;
+  for (size_t i = 0; i < join.num_shards(); ++i) {
+    catchup += join.shard(i).core().catchup_tuples();
+  }
+  EXPECT_EQ(stats.catchup_tuples, catchup);
 }
 
 }  // namespace

@@ -27,7 +27,6 @@
 #include "common/memory_budget.h"
 #include "datagen/generator.h"
 #include "exec/parallel/parallel_join.h"
-#include "exec/prefetch.h"
 #include "exec/scan.h"
 #include "service/linkage_service.h"
 
@@ -167,17 +166,6 @@ TEST(ChaosStressTest, SeededFaultMatrixKeepsTheServiceSane) {
       for (size_t i = 0; i < kQueries; ++i) {
         scans.push_back(std::make_unique<exec::RelationScan>(&tc.child));
         scans.push_back(std::make_unique<exec::RelationScan>(&tc.parent));
-        // A quarter of the burst reads through PrefetchSource wrappers,
-        // putting the ingest.prefetch site (and the producer-thread
-        // fault containment behind it) into the blast radius.
-        if (i % 4 == 2) {
-          auto child_wrap = std::make_unique<exec::PrefetchSource>(
-              scans[scans.size() - 2].get());
-          auto parent_wrap = std::make_unique<exec::PrefetchSource>(
-              scans[scans.size() - 1].get());
-          scans.push_back(std::move(child_wrap));
-          scans.push_back(std::move(parent_wrap));
-        }
         QueryOptions qo;
         qo.join = MakeOptions(tc, i);
         // Half the burst opts into graceful degradation; a third gets
